@@ -55,6 +55,9 @@ int ApplyFolds(Session& s, int n) {
 
 std::string TmpWalPath() { return "/tmp/pivot_bench_journal.wal"; }
 
+// Leaves durability to the kernel (see JournalAck).
+const JournalAck kNoSync = [](FrameType, const std::string&) {};
+
 std::uint64_t FileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary | std::ios::ate);
   return in ? static_cast<std::uint64_t>(in.tellg()) : 0;
@@ -70,9 +73,8 @@ void BM_JournalAppend(benchmark::State& state) {
     Session s(MakeFoldableProgram(sites));
     std::unique_ptr<DurableJournal> journal;
     if (mode > 0) {
-      PersistOptions p;
-      p.fsync = mode == 2;
-      journal = DurableJournal::Create(s, TmpWalPath(), p);
+      journal = DurableJournal::Create(
+          s, TmpWalPath(), {}, mode == 2 ? JournalAck{} : kNoSync);
     }
     state.ResumeTiming();
     benchmark::DoNotOptimize(ApplyFolds(s, sites));
@@ -105,8 +107,8 @@ bool RecoveryLatencyStudy(BenchJson& json) {
         Session s(MakeFoldableProgram(history));
         PersistOptions p;
         p.snapshot_interval = interval;
-        p.fsync = false;  // measure replay cost, not the build's fsyncs
-        const auto journal = DurableJournal::Create(s, path, p);
+        // kNoSync: measure replay cost, not the build's fsyncs.
+        const auto journal = DurableJournal::Create(s, path, p, kNoSync);
         if (ApplyFolds(s, history) != history) {
           std::fprintf(stderr, "workload underfilled at history=%d\n",
                        history);
@@ -155,7 +157,7 @@ bool RecoveryLatencyStudy(BenchJson& json) {
 }
 
 // Compaction A/B (DESIGN.md §13): the same snapshot-enabled workload with
-// retention off and on. With `compact` set, every durable full snapshot
+// retention off and on. With `compact` set, every durable snapshot
 // rewrites the journal down to genesis + that snapshot + the uncovered
 // tail, so the file tracks the live image instead of the whole history.
 // Gates (full mode, history 1600 / interval 64): the compacted journal is
@@ -171,15 +173,8 @@ bool CompactionStudy(BenchJson& json) {
   struct Mode {
     const char* name;
     bool compact;
-    bool deltas;
   };
-  // delta+compact is the informational third row: delta snapshots stretch
-  // the full-snapshot (= compaction) cadence by full_snapshot_every.
-  const Mode modes[] = {
-      {"baseline", false, false},
-      {"compacted", true, false},
-      {"delta+compact", true, true},
-  };
+  const Mode modes[] = {{"baseline", false}, {"compacted", true}};
 
   std::printf("== Journal growth: compaction off vs on (history=%d) ==\n",
               history);
@@ -195,10 +190,9 @@ bool CompactionStudy(BenchJson& json) {
       Session s(MakeFoldableProgram(history));
       PersistOptions p;
       p.snapshot_interval = interval;
-      p.fsync = false;  // measure the rewrite and replay, not fsyncs
       p.compact = mode.compact;
-      p.delta_snapshots = mode.deltas;
-      const auto journal = DurableJournal::Create(s, path, p);
+      // kNoSync: measure the rewrite and replay, not fsyncs.
+      const auto journal = DurableJournal::Create(s, path, p, kNoSync);
       if (ApplyFolds(s, history) != history) {
         std::fprintf(stderr, "workload underfilled at history=%d\n",
                      history);
@@ -232,13 +226,8 @@ bool CompactionStudy(BenchJson& json) {
         .Num("recover_ms", best_ms)
         .Int("ops_replayed", replayed)
         .Int("journal_bytes", bytes);
-    if (std::string(mode.name) == "baseline") {
-      baseline_ms = best_ms;
-      baseline_bytes = bytes;
-    } else if (std::string(mode.name) == "compacted") {
-      compacted_ms = best_ms;
-      compacted_bytes = bytes;
-    }
+    (mode.compact ? compacted_ms : baseline_ms) = best_ms;
+    (mode.compact ? compacted_bytes : baseline_bytes) = bytes;
   }
 
   bool ok = true;

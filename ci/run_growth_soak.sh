@@ -6,7 +6,7 @@
 # the byte ratio:
 #
 #   * session phase — PIVOT_GROWTH_OPS (default 10000) apply/undo commits
-#     against one DurableJournal with delta snapshots + compaction; the
+#     against one DurableJournal with snapshots, compaction off vs on; the
 #     compacted journal's peak must stay >= 4x below the uncompacted
 #     final size, and the compacted journal must recover cleanly to the
 #     same source;

@@ -1,5 +1,8 @@
 #include "pivot/persist/durable.h"
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -16,10 +19,6 @@
 namespace pivot {
 namespace {
 
-bool IsSnapshotFrame(FrameType type) {
-  return type == FrameType::kSnapshot || type == FrameType::kDeltaSnapshot;
-}
-
 // Best-effort removal of a leftover compaction tmp file (a crash between
 // writing `<path>.compact` and the rename). The tmp is garbage by
 // definition — the rename is the commit point — so it is deleted, never
@@ -28,57 +27,38 @@ void RemoveStaleCompactTmp(const std::string& path) {
   std::remove((path + ".compact").c_str());
 }
 
-// The newest snapshot frame whose image could be reconstructed.
+// The newest snapshot frame whose image could be decoded and trusted.
 struct SnapshotChoice {
   std::size_t frame_index = 0;  // index into the scanned frames
-  std::string image;            // reconstructed full image
   DecodedImage decoded;         // the image, parsed
   std::uint64_t covered = 0;    // txn frames the image covers
-  std::uint64_t deltas = 0;     // chain length (0 = a full frame)
 };
 
-// Walks snapshot frames newest-first and returns the first one that can be
-// fully reconstructed and trusted: delta chains resolved against the
-// nearest preceding full snapshot, the image decoded, and the covered
-// count consistent with the journal (a snapshot claiming to cover more
-// transactions than the file holds would silently skip all replay with the
-// digests never re-verified — it is treated exactly like a corrupt frame).
+// Walks snapshot frames newest-first and returns the first one that
+// decodes and whose covered count is consistent with the journal (a
+// snapshot claiming to cover more transactions than the file holds would
+// silently skip all replay with the digests never re-verified — it is
+// treated exactly like a corrupt frame). Frames of the retired
+// kRetiredDelta type are skipped: the full snapshot (or the genesis)
+// before them, plus the txn frames they summarized, covers the same state.
 // Appends one error per rejected candidate when `errors` is non-null.
 std::optional<SnapshotChoice> FindLatestUsableSnapshot(
     const std::vector<WalFrame>& frames, std::uint64_t txns_in_journal,
     std::vector<std::string>* errors) {
   for (std::size_t i = frames.size(); i-- > 1;) {
-    if (!IsSnapshotFrame(frames[i].type)) continue;
+    if (frames[i].type != FrameType::kSnapshot) continue;
     try {
-      // Resolve the chain base: the nearest full snapshot at or before i.
-      std::size_t full = frames.size();
-      for (std::size_t j = i + 1; j-- > 1;) {
-        if (frames[j].type == FrameType::kSnapshot) {
-          full = j;
-          break;
-        }
-      }
-      if (full > i) {
+      SnapshotBody body = DecodeSnapshotBody(frames[i].body);
+      if (body.txns > txns_in_journal) {
         throw ProgramError(
-            "persisted frame: delta snapshot has no full-snapshot base");
-      }
-      SnapshotChoice choice;
-      choice.frame_index = i;
-      choice.image = DecodeSnapshotBody(frames[full].body).payload;
-      for (std::size_t j = full + 1; j <= i; ++j) {
-        if (frames[j].type != FrameType::kDeltaSnapshot) continue;
-        choice.image = ApplyImageDelta(
-            choice.image, DecodeSnapshotBody(frames[j].body).payload);
-        ++choice.deltas;
-      }
-      choice.covered = DecodeSnapshotBody(frames[i].body).txns;
-      if (choice.covered > txns_in_journal) {
-        throw ProgramError(
-            "snapshot claims " + std::to_string(choice.covered) +
+            "snapshot claims " + std::to_string(body.txns) +
             " transactions but the journal holds " +
             std::to_string(txns_in_journal));
       }
-      choice.decoded = DecodeSessionImage(choice.image);
+      SnapshotChoice choice;
+      choice.frame_index = i;
+      choice.covered = body.txns;
+      choice.decoded = DecodeSessionImage(body.payload);
       return choice;
     } catch (const ProgramError& e) {
       if (errors != nullptr) {
@@ -97,15 +77,17 @@ std::optional<SnapshotChoice> FindLatestUsableSnapshot(
 
 DurableJournal::DurableJournal(Session& session, std::string path,
                                FileLock lock, WalWriter writer,
-                               PersistOptions options)
+                               PersistOptions options, JournalAck ack)
     : session_(session),
       path_(std::move(path)),
       lock_(std::move(lock)),
       writer_(std::move(writer)),
-      options_(options) {}
+      options_(options),
+      ack_(std::move(ack)) {}
 
 std::unique_ptr<DurableJournal> DurableJournal::Create(
-    Session& session, const std::string& path, PersistOptions options) {
+    Session& session, const std::string& path, PersistOptions options,
+    JournalAck ack) {
   if (session.options().undo.heuristic == UndoOptions::Heuristic::kCustom) {
     throw ProgramError(
         "durable journal: custom interaction tables are not persistable");
@@ -116,21 +98,51 @@ std::unique_ptr<DurableJournal> DurableJournal::Create(
         "durable journal: attach before the first operation (replay "
         "rebuilds state from the genesis source)");
   }
+  // Declared outside the try: the flock stays held while a failed create
+  // unlinks its files, so no other owner can slip in between.
   FileLock lock = FileLock::Acquire(path);
   RemoveStaleCompactTmp(path);
-  WalWriter writer = WalWriter::Create(path);
-  PIVOT_FAULT_POINT("persist.genesis.pre");
-  writer.AppendFrame(FrameType::kGenesis,
-                     EncodeGenesis(session.options(), session.Source()),
-                     options.fsync, "persist.genesis");
-  auto journal = std::unique_ptr<DurableJournal>(new DurableJournal(
-      session, path, std::move(lock), std::move(writer), options));
-  session.set_commit_listener(journal.get());
-  return journal;
+  try {
+    WalWriter writer = WalWriter::Create(path);
+    PIVOT_FAULT_POINT("persist.genesis.pre");
+    const std::string genesis =
+        EncodeGenesis(session.options(), session.Source());
+    writer.AppendFrame(FrameType::kGenesis, genesis, /*fsync=*/!ack,
+                       "persist.genesis");
+    if (ack) ack(FrameType::kGenesis, genesis);
+    auto journal = std::unique_ptr<DurableJournal>(
+        new DurableJournal(session, path, std::move(lock), std::move(writer),
+                           options, std::move(ack)));
+    session.set_commit_listener(journal.get());
+    return journal;
+  } catch (const FaultInjectedError&) {
+    throw;  // crash harness: the file stays exactly as the crash left it
+  } catch (...) {
+    // The genesis was never acknowledged, so no journal came into
+    // existence. unlink(2) tolerates the still-open fd and flock.
+    ::unlink(path.c_str());
+    ::unlink((path + ".lock").c_str());
+    throw;
+  }
 }
 
 std::unique_ptr<DurableJournal> DurableJournal::Reattach(
-    Session& session, const std::string& path, PersistOptions options) {
+    Session& session, const std::string& path, PersistOptions options,
+    JournalAck ack) {
+  return Attach(session, path, nullptr, options, std::move(ack));
+}
+
+std::unique_ptr<DurableJournal> DurableJournal::Reattach(
+    Session& session, const std::string& path,
+    const JournalRecoveryReport& recovered, PersistOptions options,
+    JournalAck ack) {
+  return Attach(session, path, &recovered, options, std::move(ack));
+}
+
+std::unique_ptr<DurableJournal> DurableJournal::Attach(
+    Session& session, const std::string& path,
+    const JournalRecoveryReport* recovered, PersistOptions options,
+    JournalAck ack) {
   FileLock lock = FileLock::Acquire(path);
   RemoveStaleCompactTmp(path);
   const WalScanResult scan = ScanWal(path);
@@ -143,32 +155,38 @@ std::unique_ptr<DurableJournal> DurableJournal::Reattach(
     throw ProgramError("durable journal: " + path +
                        " has a torn tail; run Session::Recover first");
   }
-  auto journal = std::unique_ptr<DurableJournal>(new DurableJournal(
-      session, path, std::move(lock), WalWriter::Append(path), options));
+  auto journal = std::unique_ptr<DurableJournal>(
+      new DurableJournal(session, path, std::move(lock),
+                         WalWriter::Append(path), options, std::move(ack)));
+  std::uint64_t txns = 0;
   for (const WalFrame& frame : scan.frames) {
     if (frame.type == FrameType::kTxn) {
-      ++journal->txns_;
-    } else if (IsSnapshotFrame(frame.type)) {
+      ++txns;
+    } else if (frame.type == FrameType::kSnapshot) {
       ++journal->snapshots_;
+      // Compaction pushes dropped txn frames into the snapshots' base
+      // clause; the largest one is the file's offset into the session's
+      // absolute history. A body that does not decode was already
+      // reported (and ignored) by recovery.
+      try {
+        journal->base_ =
+            std::max(journal->base_, DecodeSnapshotBody(frame.body).base);
+      } catch (const ProgramError&) {
+      }
     }
   }
-  // Snapshot cadence resumes from the last snapshot recovery would
-  // actually use, not merely the last snapshot-typed frame: a trailing
-  // frame that fails to decode (or whose chain is broken) must not defer
-  // the next snapshot a full interval while recovery ignores it.
-  const std::optional<SnapshotChoice> choice =
-      FindLatestUsableSnapshot(scan.frames, journal->txns_, nullptr);
-  if (choice.has_value()) {
-    std::uint64_t after = 0;
-    for (std::size_t i = choice->frame_index + 1; i < scan.frames.size();
-         ++i) {
-      if (scan.frames[i].type == FrameType::kTxn) ++after;
-    }
-    journal->since_snapshot_ = after;
-    journal->deltas_since_full_ = choice->deltas;
-    if (options.delta_snapshots) journal->last_image_ = choice->image;
+  journal->txns_.store(journal->base_ + txns);
+  // Snapshot cadence resumes from the snapshot recovery actually uses, not
+  // merely the last snapshot-typed frame: a trailing frame that fails to
+  // decode must not defer the next snapshot a full interval while
+  // recovery ignores it.
+  if (recovered != nullptr) {
+    journal->since_snapshot_ = std::min(recovered->txns_replayed, txns);
+  } else if (const std::optional<SnapshotChoice> choice =
+                 FindLatestUsableSnapshot(scan.frames, txns, nullptr)) {
+    journal->since_snapshot_ = txns - choice->covered;
   } else {
-    journal->since_snapshot_ = journal->txns_;
+    journal->since_snapshot_ = txns;
   }
   session.set_commit_listener(journal.get());
   return journal;
@@ -180,141 +198,187 @@ DurableJournal::~DurableJournal() {
   }
 }
 
-void DurableJournal::OnCommit(const TxnDescriptor& desc) {
-  if (broken_) {
-    throw ProgramError(
-        "durable journal: poisoned by an earlier write fault (the file may "
-        "end mid-frame); recover before committing again");
+void DurableJournal::ThrowIfBroken() const {
+  if (broken()) {
+    throw JournalWriteError(
+        "poisoned by an earlier fault (the file may end mid-frame); "
+        "recover it before appending again");
   }
+}
+
+void DurableJournal::Append(FrameType type, const std::string& body,
+                            bool fsync) {
+  const std::uint64_t pre = writer_.offset();
+  try {
+    writer_.AppendFrame(type, body, fsync,
+                        type == FrameType::kTxn ? "persist.txn"
+                                                : "persist.snapshot");
+  } catch (const FaultInjectedError&) {
+    broken_.store(true, std::memory_order_release);
+    throw;
+  } catch (const ProgramError& e) {
+    broken_.store(true, std::memory_order_release);
+    throw JournalWriteError(e.what());
+  }
+  if (type != FrameType::kTxn || !ack_) return;
+  try {
+    ack_(type, body);
+  } catch (const FaultInjectedError&) {
+    broken_.store(true, std::memory_order_release);
+    throw;
+  } catch (...) {
+    // Not acknowledged: the session rolls the operation back, so the
+    // frame must come off the file or a later recovery would replay it.
+    try {
+      writer_.TruncateTo(pre);
+    } catch (...) {
+      broken_.store(true, std::memory_order_release);
+    }
+    throw;
+  }
+}
+
+void DurableJournal::OnCommit(const TxnDescriptor& desc) {
+  ThrowIfBroken();
   PIVOT_FAULT_POINT("persist.txn.pre");
   // The digest pins the state this commit produces; recovery verifies it
   // after replaying the frame.
-  const std::string body = EncodeTxn(desc, ComputeDigest(session_));
-  try {
-    writer_.AppendFrame(FrameType::kTxn, body, options_.fsync, "persist.txn");
-  } catch (...) {
-    // The file may now end in a torn frame (or, after the fsync point, in
-    // a durable frame the session is about to roll back). Either way no
-    // further frame may be appended behind it.
-    broken_ = true;
-    throw;
-  }
-  ++txns_;
+  Append(FrameType::kTxn, EncodeTxn(desc, ComputeDigest(session_)),
+         /*fsync=*/!ack_);
+  // Published only once the frame is written and acked (SyncDurableTxns).
+  txns_.fetch_add(1, std::memory_order_release);
   ++since_snapshot_;
 }
 
 void DurableJournal::OnCommitted(const TxnDescriptor& desc) {
   (void)desc;
   PIVOT_FAULT_POINT("persist.commit.ack.pre");
-  if (broken_ || options_.snapshot_interval <= 0) return;
+  if (broken() || options_.snapshot_interval <= 0) return;
   if (since_snapshot_ <
       static_cast<std::uint64_t>(options_.snapshot_interval)) {
     return;
   }
-  WriteSnapshot();
+  try {
+    WriteSnapshot(/*fsync=*/!ack_);
+  } catch (const JournalWriteError&) {
+    return;  // the commit stands; the poisoned journal refuses the next
+  }
+  if (options_.compact) Compact();
 }
 
-void DurableJournal::WriteSnapshot() {
+void DurableJournal::WriteSnapshot(bool fsync) {
   PIVOT_FAULT_POINT("persist.snapshot.pre");
-  const std::string image = EncodeSessionImage(session_);
-  FrameType type = FrameType::kSnapshot;
-  std::string payload = image;
-  if (options_.delta_snapshots && !last_image_.empty() &&
-      options_.full_snapshot_every > 0 &&
-      deltas_since_full_ + 1 <
-          static_cast<std::uint64_t>(options_.full_snapshot_every)) {
-    std::string delta = EncodeImageDelta(last_image_, image);
-    // A delta larger than the image it encodes (pathological churn) is
-    // pointless: write the full image and restart the chain.
-    if (delta.size() < image.size()) {
-      type = FrameType::kDeltaSnapshot;
-      payload = std::move(delta);
-    }
-  }
-  const std::string body = EncodeSnapshotBody(txns_, payload);
-  try {
-    writer_.AppendFrame(type, body, options_.fsync, "persist.snapshot");
-  } catch (...) {
-    broken_ = true;
-    throw;
-  }
+  const std::uint64_t txns = txns_.load(std::memory_order_relaxed);
+  Append(FrameType::kSnapshot,
+         EncodeSnapshotBody(txns - base_, EncodeSessionImage(session_),
+                            base_),
+         fsync);
   since_snapshot_ = 0;
   ++snapshots_;
-  if (type == FrameType::kDeltaSnapshot) {
-    ++deltas_since_full_;
-  } else {
-    deltas_since_full_ = 0;
+}
+
+std::uint64_t DurableJournal::SyncDurableTxns() {
+  ThrowIfBroken();
+  const std::uint64_t covered = txns_.load(std::memory_order_acquire);
+  try {
+    writer_.Sync();
+  } catch (const ProgramError& e) {
+    broken_.store(true, std::memory_order_release);
+    throw JournalWriteError(e.what());
   }
-  if (options_.delta_snapshots) last_image_ = image;
-  // Compaction is anchored on full snapshots: only a full image lets the
-  // whole covered prefix go.
-  if (options_.compact && type == FrameType::kSnapshot &&
-      writer_.offset() >= options_.compact_min_bytes) {
-    Compact();
-  }
+  return covered;
+}
+
+std::uint64_t DurableJournal::Checkpoint() {
+  if (since_snapshot_ == 0) return SyncDurableTxns();
+  ThrowIfBroken();
+  WriteSnapshot(/*fsync=*/true);
+  return txns_.load(std::memory_order_acquire);
 }
 
 void DurableJournal::Compact() {
-  if (broken_) {
-    throw ProgramError(
-        "durable journal: poisoned by an earlier write fault; recover "
-        "before compacting");
+  ThrowIfBroken();
+  try {
+    const std::uint64_t dropped = CompactJournalFile(path_);
+    if (dropped == 0) return;
+    // The old fd now references the replaced (unlinked) inode; swap it for
+    // one opened on the new file. The file changed under the writer, so
+    // failing to reopen it poisons the journal.
+    try {
+      writer_ = WalWriter::Append(path_);
+    } catch (...) {
+      broken_.store(true, std::memory_order_release);
+      throw;
+    }
+    base_ += dropped;
+    ++compactions_;
+  } catch (const FaultInjectedError&) {
+    broken_.store(true, std::memory_order_release);
+    throw;
   }
+}
+
+std::uint64_t CompactJournalFile(const std::string& path) {
   PIVOT_FAULT_POINT("persist.compact.pre");
-  const WalScanResult scan = ScanWal(path_);
-  // Anchor: the newest full snapshot. Without one there is nothing to
-  // reclaim.
-  std::size_t full = 0;
+  const WalScanResult scan = ScanWal(path);
+  if (!scan.header_ok || scan.frames.empty() ||
+      scan.valid_bytes != scan.file_bytes) {
+    return 0;  // not a clean journal; leave it to recovery
+  }
+  // Anchor: the newest snapshot. Without one there is nothing to reclaim.
+  std::size_t anchor = 0;
   for (std::size_t i = scan.frames.size(); i-- > 1;) {
     if (scan.frames[i].type == FrameType::kSnapshot) {
-      full = i;
+      anchor = i;
       break;
     }
   }
-  if (full == 0) return;
-  const std::uint64_t dropped = DecodeSnapshotBody(scan.frames[full].body).txns;
-  // The writer only ever records txns_ as the covered count, so the count
-  // must equal the txn frames actually preceding the anchor. A mismatch
-  // means the file was tampered with or this code is wrong — refuse to
-  // drop frames on inconsistent evidence and leave the journal as is
-  // (recovery will sort the file out).
+  if (anchor == 0) return 0;
+  const std::uint64_t dropped =
+      DecodeSnapshotBody(scan.frames[anchor].body).txns;
+  // The writer only ever records the file's txn count as the covered
+  // count, so it must equal the txn frames actually preceding the anchor.
+  // A mismatch means the file was tampered with or this code is wrong —
+  // refuse to drop frames on inconsistent evidence and leave the journal
+  // as is (recovery will sort the file out).
   std::uint64_t preceding = 0;
-  for (std::size_t i = 1; i < full; ++i) {
+  for (std::size_t i = 1; i < anchor; ++i) {
     if (scan.frames[i].type == FrameType::kTxn) ++preceding;
   }
-  if (preceding != dropped) return;
+  if (dropped == 0 || preceding != dropped) return 0;
 
-  // Rewrite to <path>.compact: genesis, then the anchor and everything
-  // after it with snapshot covered-counts rebased by the dropped txns.
-  // The tmp is fsynced before the rename — the rename is the commit
-  // point, so a crash at any byte leaves either the complete old journal
-  // or the complete new one, never a hybrid.
-  const std::string tmp = path_ + ".compact";
+  // Rewrite to <path>.compact: genesis, then the anchor and the txn and
+  // snapshot frames after it, with covered counts rebased by the dropped
+  // txns (retired kRetiredDelta frames are dropped too: the txns they
+  // summarized are all still here). The tmp is fsynced before the rename
+  // — the rename is the commit point, so a crash at any byte leaves
+  // either the complete old journal or the complete new one.
+  const std::string tmp = path + ".compact";
   try {
     WalWriter out = WalWriter::Create(tmp);
     out.AppendFrame(FrameType::kGenesis, scan.frames[0].body, false,
                     "persist.compact.genesis");
-    for (std::size_t i = full; i < scan.frames.size(); ++i) {
+    for (std::size_t i = anchor; i < scan.frames.size(); ++i) {
       const WalFrame& frame = scan.frames[i];
       if (frame.type == FrameType::kTxn) {
         out.AppendFrame(FrameType::kTxn, frame.body, false,
                         "persist.compact.txn");
-      } else if (IsSnapshotFrame(frame.type)) {
+      } else if (frame.type == FrameType::kSnapshot) {
         // Covered counts are file-relative: rebase them by the dropped
         // prefix, and push the drop into the cumulative base so absolute
         // txn indices stay recoverable (see persist/wire.h).
         SnapshotBody body = DecodeSnapshotBody(frame.body);
         body.txns = body.txns >= dropped ? body.txns - dropped : 0;
         out.AppendFrame(
-            frame.type,
+            FrameType::kSnapshot,
             EncodeSnapshotBody(body.txns, body.payload, body.base + dropped),
             false, "persist.compact.snapshot");
       }
     }
     out.Sync("persist.compact.tmp.synced");
     PIVOT_FAULT_POINT("persist.compact.rename.pre");
-    if (::rename(tmp.c_str(), path_.c_str()) != 0) {
-      throw ProgramError("durable journal: compaction rename failed: " +
+    if (::rename(tmp.c_str(), path.c_str()) != 0) {
+      throw ProgramError("journal compaction: rename failed: " +
                          std::string(std::strerror(errno)));
     }
   } catch (const FaultInjectedError&) {
@@ -322,22 +386,12 @@ void DurableJournal::Compact() {
     // exactly like a real crash would — recovery deletes it.
     throw;
   } catch (...) {
-    // Nothing was renamed: the live journal is untouched and the writer
-    // still valid, so the failure is reported but nothing is poisoned.
+    // Nothing was renamed: the live journal is untouched.
     std::remove(tmp.c_str());
     throw;
   }
-  try {
-    PIVOT_FAULT_POINT("persist.compact.rename.post");
-    // The old fd now references the replaced (unlinked) inode; swap it for
-    // one opened on the new file.
-    writer_ = WalWriter::Append(path_);
-  } catch (...) {
-    broken_ = true;
-    throw;
-  }
-  txns_ -= dropped;
-  ++compactions_;
+  PIVOT_FAULT_POINT("persist.compact.rename.post");
+  return dropped;
 }
 
 // ---------------------------------------------------------------------------
@@ -350,10 +404,7 @@ std::string JournalRecoveryReport::ToString() const {
      << " transactions\n";
   os << "replayed: " << txns_replayed << " onto ";
   if (used_snapshot) {
-    os << "snapshot (covering " << snapshot_txns;
-    // Printed only for delta-built bases so the version-1 goldens hold.
-    if (snapshot_deltas > 0) os << ", via " << snapshot_deltas << " deltas";
-    os << ")";
+    os << "snapshot (covering " << snapshot_txns << ")";
   } else {
     os << "genesis";
   }
@@ -412,9 +463,8 @@ std::optional<RecoverResult> RecoverOnce(const std::string& path,
 
   const GenesisInfo genesis = DecodeGenesis(scan.frames[0].body);
 
-  // Base state: the latest snapshot that reconstructs (delta chains
-  // resolved, image decoded, covered count consistent), else the genesis
-  // source.
+  // Base state: the latest snapshot that decodes with a consistent
+  // covered count, else the genesis source.
   std::unique_ptr<Session> session;
   std::uint64_t skip_txns = 0;
   if (std::optional<SnapshotChoice> choice = FindLatestUsableSnapshot(
@@ -425,7 +475,6 @@ std::optional<RecoverResult> RecoverOnce(const std::string& path,
     skip_txns = choice->covered;
     rep.used_snapshot = true;
     rep.snapshot_txns = choice->covered;
-    rep.snapshot_deltas = choice->deltas;
   }
   if (session == nullptr) {
     session = std::make_unique<Session>(Parse(genesis.source),

@@ -1,17 +1,38 @@
 // The durable write-ahead journal: a Session CommitListener that appends
 // every committed operation as a checksummed frame *before* the in-memory
-// commit is acknowledged, plus crash-consistent recovery.
+// commit is acknowledged, plus crash-consistent recovery. It is the only
+// writer of session journals: a standalone session uses it with the
+// default ack (fsync the file), and the server (server/server.h) with an
+// ack that blocks on its group-commit log.
 //
 // Protocol per operation (see core/commit_hook.h):
-//   OnCommit    — append + fsync the txn frame; a write fault throws, the
-//                 session rolls the operation back, and the journal is
-//                 poisoned (no further commits) since the file may now end
-//                 in a torn frame;
+//   OnCommit    — append the txn frame and run the ack (see JournalAck);
+//                 a failure throws and the session rolls the operation
+//                 back;
 //   OnCommitted — optionally append a full-session snapshot (policy:
 //                 every `snapshot_interval` transactions). Snapshots are
 //                 pure read optimization: recovery is snapshot +
 //                 tail-replay instead of whole-history replay, and a torn
 //                 snapshot is just a truncatable tail.
+//
+// Failure policy, one rule per case:
+//   * a write fault on an attached journal — any permanent write(2) or
+//     fsync(2) failure of a txn frame, a snapshot, or SyncDurableTxns —
+//     poisons it: the file may now end mid-frame, and frames appended
+//     behind a tear would be invisible to the scanner. The call throws
+//     JournalWriteError and so does every later commit; recover the file
+//     to go on. A txn frame's operation is rolled back by the session; a
+//     snapshot fault after a commit does not fail that commit (it is
+//     already durable and acknowledged) — the next commit reports it;
+//   * an ack that refuses a written txn frame (overload, deadline, a
+//     failed group log) rolls the frame back off the file (ftruncate to
+//     where it started) and rethrows the ack's error: nothing was
+//     acknowledged, the session rolls the operation back, and the journal
+//     stays usable. Only if the rollback fails is the journal poisoned;
+//   * a failed Create leaves no journal behind: the half-written file and
+//     its `.lock` are removed, so the name can be created again;
+//   * an injected crash (FaultInjectedError) is the crash harness: the
+//     file stays exactly as the crash left it and the journal is poisoned.
 //
 // Recovery scans the file, truncates the torn/corrupt tail (CRC or length
 // failure — never replayed, never guessed at), rebuilds the base state from
@@ -21,7 +42,9 @@
 #ifndef PIVOT_PERSIST_DURABLE_H_
 #define PIVOT_PERSIST_DURABLE_H_
 
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -29,6 +52,7 @@
 #include "pivot/core/session.h"
 #include "pivot/persist/filelock.h"
 #include "pivot/persist/wal.h"
+#include "pivot/support/diagnostics.h"
 
 namespace pivot {
 
@@ -36,51 +60,66 @@ struct PersistOptions {
   // > 0: append a full-session snapshot frame after every N committed
   // transactions. 0 = never (recovery replays the whole history).
   int snapshot_interval = 0;
-  // fsync each txn frame before acknowledging the commit. Turning this off
-  // trades crash consistency for throughput (bench mode): the frame order
-  // is still correct, but the tail may be lost on power failure.
-  bool fsync = true;
-  // Encode most snapshots as kDeltaSnapshot frames (a diff against the
-  // previous snapshot image — see persist/snapshot.h) instead of full
-  // images. Recovery reconstructs the base by applying the chain since the
-  // last full snapshot, falling back frame by frame on decode failure.
-  bool delta_snapshots = false;
-  // With delta_snapshots on: force a full kSnapshot frame after this many
-  // consecutive deltas, bounding both the recovery chain and the span
-  // compaction cannot reclaim. Must be >= 1 (1 = every snapshot is full).
-  int full_snapshot_every = 8;
-  // After each durable full snapshot, rewrite the journal in place
-  // (genesis + that snapshot + the uncovered tail; everything the
-  // snapshot covers is dropped) via an atomic tmp-file rename. This is
-  // what makes journal size proportional to live history instead of
+  // After each snapshot, rewrite the journal in place (genesis + that
+  // snapshot + the uncovered tail; everything the snapshot covers is
+  // dropped) via an atomic tmp-file rename — see CompactJournalFile. This
+  // is what makes journal size proportional to live history instead of
   // monotonically increasing.
   bool compact = false;
-  // Skip the rewrite while the journal is smaller than this (the rewrite
-  // costs a full file copy; tiny journals are not worth it). 0 = always
-  // compact after a full snapshot.
-  std::uint64_t compact_min_bytes = 0;
 };
+
+// What makes a genesis or txn frame durable before the operation it
+// carries is acknowledged. Empty (the default): the journal fsyncs its own
+// file after every frame, snapshots included. Otherwise the journal
+// appends without fsync and calls the ack with the frame just written; the
+// ack returns once the frame is durable elsewhere (the server's group-
+// commit log) or throws to fail the operation. A no-op ack leaves
+// durability to the kernel — the frame order stays correct, but a power
+// failure may lose the tail (benchmarks use it to leave fsync cost out).
+using JournalAck =
+    std::function<void(FrameType type, const std::string& body)>;
+
+// A permanent write fault on an attached journal (transient retries
+// exhausted; see persist/wal.h), or a commit refused by a poisoned
+// journal. The server turns it into degraded mode.
+class JournalWriteError : public ProgramError {
+ public:
+  explicit JournalWriteError(const std::string& what)
+      : ProgramError("journal write fault: " + what) {}
+};
+
+struct JournalRecoveryReport;
 
 class DurableJournal final : public CommitListener {
  public:
   // Starts journaling `session` into a fresh file at `path` (truncating
-  // any existing file): writes the header and the genesis frame, then
-  // installs itself as the session's commit listener. The session must be
-  // pristine (no history, no journal records) — the genesis source is what
-  // replay rebuilds ids from — and must outlive the returned object.
-  // Throws ProgramError on I/O failure or a non-persistable session
-  // (custom interaction tables).
+  // any existing file): writes the header and the genesis frame, acks it,
+  // then installs itself as the session's commit listener. The session
+  // must be pristine (no history, no journal records) — the genesis source
+  // is what replay rebuilds ids from — and must outlive the returned
+  // object. Throws ProgramError on I/O failure or a non-persistable
+  // session (custom interaction tables).
   static std::unique_ptr<DurableJournal> Create(Session& session,
                                                 const std::string& path,
-                                                PersistOptions options = {});
+                                                PersistOptions options = {},
+                                                JournalAck ack = {});
 
-  // Resumes journaling an existing file (e.g. after Session::Recover of
-  // the same path): appends after the current end, which must already be
-  // truncated to a valid prefix. The session must hold exactly the state
-  // the file replays to.
+  // Resumes journaling an existing file: appends after the current end,
+  // which must already be truncated to a valid prefix. The session must
+  // hold exactly the state the file replays to. This form finds the
+  // snapshot recovery would use by decoding snapshot images; the form
+  // below takes it from the recovery that just ran instead.
   static std::unique_ptr<DurableJournal> Reattach(Session& session,
                                                   const std::string& path,
-                                                  PersistOptions options = {});
+                                                  PersistOptions options = {},
+                                                  JournalAck ack = {});
+  // For a session RecoverSession(path) just rebuilt: the snapshot cadence
+  // resumes from `recovered` (the txns it replayed are exactly those no
+  // usable snapshot covers), so reattaching decodes no image.
+  static std::unique_ptr<DurableJournal> Reattach(
+      Session& session, const std::string& path,
+      const JournalRecoveryReport& recovered, PersistOptions options = {},
+      JournalAck ack = {});
 
   ~DurableJournal() override;
   DurableJournal(const DurableJournal&) = delete;
@@ -89,30 +128,53 @@ class DurableJournal final : public CommitListener {
   void OnCommit(const TxnDescriptor& desc) override;
   void OnCommitted(const TxnDescriptor& desc) override;
 
-  // A write fault poisons the journal: the file may end mid-frame, so no
-  // further frame may be appended (it would hide the tear behind valid
-  // frames the scanner never reaches). Recover the file instead.
-  bool broken() const { return broken_; }
+  // Poisoned by a write fault or an injected crash (see the failure
+  // policy): no further frame may be appended. Recover the file instead.
+  bool broken() const { return broken_.load(std::memory_order_acquire); }
 
-  std::uint64_t txns_written() const { return txns_; }
+  // Txn frames in the file (compaction rebases this count).
+  std::uint64_t txns_written() const { return txns_.load() - base_; }
   std::uint64_t snapshots_written() const { return snapshots_; }
   std::uint64_t compactions() const { return compactions_; }
   // Current journal file size (the next append offset).
   std::uint64_t journal_bytes() const { return writer_.offset(); }
 
-  // Rewrites the journal down to genesis + the latest full snapshot + the
-  // frames after it, dropping everything the snapshot covers. The rewrite
-  // goes to `<path>.compact`, is fsynced, and is renamed over the journal
-  // atomically — a crash at any point leaves either the old or the new
-  // file, never a hybrid. No-op when the journal holds no full snapshot.
-  // Runs automatically after each full snapshot when PersistOptions::
-  // compact is set; public for explicit calls (tools, tests).
+  // fsyncs the file and returns the absolute number of committed txns
+  // (compacted-away ones included) that fsync provably covers. Safe to
+  // call from another thread while the owner commits, without the session
+  // lock: a txn is counted only after its write(2) returned, so every
+  // frame behind the pre-read count is in the file, and the fsync —
+  // racing at most with a LATER append — makes at least those durable.
+  // Must not race Compact(), which swaps the file. Throws
+  // JournalWriteError when poisoned or on a permanent fsync fault (which
+  // poisons).
+  std::uint64_t SyncDurableTxns();
+
+  // Makes the file the sole authority for the session's state: a final
+  // snapshot fsynced to the file (a bare fsync when the last snapshot
+  // already covers everything). Returns the absolute count it made
+  // durable, as SyncDurableTxns. Throws JournalWriteError on a permanent
+  // fault.
+  std::uint64_t Checkpoint();
+
+  // Rewrites the journal down to genesis + the latest snapshot + the
+  // frames after it (CompactJournalFile) and reopens the file. Runs
+  // automatically after each snapshot when PersistOptions::compact is
+  // set; public for explicit calls (tools, tests).
   void Compact();
 
  private:
   DurableJournal(Session& session, std::string path, FileLock lock,
-                 WalWriter writer, PersistOptions options);
-  void WriteSnapshot();
+                 WalWriter writer, PersistOptions options, JournalAck ack);
+  static std::unique_ptr<DurableJournal> Attach(
+      Session& session, const std::string& path,
+      const JournalRecoveryReport* recovered, PersistOptions options,
+      JournalAck ack);
+  // Appends one txn or snapshot frame under the failure policy; only txn
+  // frames are acked.
+  void Append(FrameType type, const std::string& body, bool fsync);
+  void WriteSnapshot(bool fsync);
+  void ThrowIfBroken() const;
 
   Session& session_;
   const std::string path_;
@@ -122,18 +184,32 @@ class DurableJournal final : public CommitListener {
   // rename of the journal itself does not disturb it.
   FileLock lock_;
   WalWriter writer_;
-  PersistOptions options_;
-  std::uint64_t txns_ = 0;  // txn frames in the file
+  const PersistOptions options_;
+  const JournalAck ack_;
+  // Committed txns of the session's whole history: the txn frames in the
+  // file plus base_, the frames compaction dropped from beneath it (the
+  // `base` clause of its snapshots; see persist/wire.h). One atomic, so
+  // SyncDurableTxns reads a consistent count without the session lock.
+  std::atomic<std::uint64_t> txns_{0};
+  std::uint64_t base_ = 0;
   std::uint64_t since_snapshot_ = 0;
   std::uint64_t snapshots_ = 0;
   std::uint64_t compactions_ = 0;
-  // Delta-snapshot state: the image of the newest snapshot frame (the base
-  // the next delta diffs against) and the chain length since the last full
-  // snapshot. Empty image = the next snapshot must be full.
-  std::string last_image_;
-  std::uint64_t deltas_since_full_ = 0;
-  bool broken_ = false;
+  std::atomic<bool> broken_{false};
 };
+
+// Rewrites the journal at `path` down to genesis + its newest snapshot +
+// the frames after it, dropping every txn frame the snapshot covers, and
+// returns how many it dropped (0 = nothing to do: no snapshot, an anchor
+// the preceding frames do not corroborate, or a file that is not a clean
+// journal — left for recovery). Dropped counts are pushed into the kept
+// snapshots' `base` clause so absolute txn indices stay recoverable. The
+// rewrite goes to `<path>.compact`, is fsynced, and is renamed over the
+// journal atomically: a crash at any point (the persist.compact.* fault
+// points) leaves the complete old file or the complete new one, and a
+// stale tmp is removed by the next attach or recovery. The caller holds
+// the journal's flock and no writer may append meanwhile.
+std::uint64_t CompactJournalFile(const std::string& path);
 
 // What recovery found and did. Golden-tested: ToString() is part of the
 // interface.
@@ -143,7 +219,6 @@ struct JournalRecoveryReport {
   std::uint64_t txns_replayed = 0;   // re-executed (tail after snapshot)
   bool used_snapshot = false;
   std::uint64_t snapshot_txns = 0;   // txn frames the snapshot covered
-  std::uint64_t snapshot_deltas = 0; // delta frames applied to rebuild it
   bool truncated = false;
   std::uint64_t truncated_at = 0;    // file offset of the cut
   std::string truncation_reason;

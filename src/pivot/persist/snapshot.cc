@@ -1,13 +1,9 @@
 #include "pivot/persist/snapshot.h"
 
-#include <cstring>
 #include <map>
-#include <string_view>
-#include <unordered_map>
 
 #include "pivot/core/session.h"
 #include "pivot/persist/token.h"
-#include "pivot/support/crc32c.h"
 #include "pivot/support/diagnostics.h"
 
 namespace pivot {
@@ -545,146 +541,6 @@ void Session::RestorePersistedState(SessionState state) {
   // Derived analyses were built (if at all) against an empty journal; drop
   // them.
   program_.BumpEpoch();
-}
-
-// ---------------------------------------------------------------------------
-// Image deltas
-// ---------------------------------------------------------------------------
-
-namespace {
-
-// Block size is a compromise: smaller blocks find more matches in the
-// token stream (whose records are tens of bytes), larger blocks keep the
-// base index and per-op overhead small. 64 bytes roughly matches one
-// serialized history record.
-constexpr std::size_t kDeltaBlock = 64;
-constexpr std::uint64_t kDeltaHashMult = 1099511628211ull;
-
-std::uint64_t DeltaBlockHash(const char* p, std::size_t n) {
-  std::uint64_t h = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    h = h * kDeltaHashMult + static_cast<unsigned char>(p[i]);
-  }
-  return h;
-}
-
-}  // namespace
-
-std::string EncodeImageDelta(const std::string& base,
-                             const std::string& target) {
-  TokenWriter w;
-  w.Tok("delta");
-  w.U32(Crc32c(base));
-  w.U32(Crc32c(target));
-  w.U64(target.size());
-
-  // Index every block-aligned base block by hash. Collisions are resolved
-  // with memcmp below, so the hash only has to be cheap, not perfect.
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> index;
-  for (std::size_t off = 0; off + kDeltaBlock <= base.size();
-       off += kDeltaBlock) {
-    index[DeltaBlockHash(base.data() + off, kDeltaBlock)].push_back(off);
-  }
-
-  std::uint64_t pow = 1;
-  for (std::size_t i = 1; i < kDeltaBlock; ++i) pow *= kDeltaHashMult;
-
-  std::size_t lit_start = 0;
-  const auto flush_literal = [&](std::size_t end) {
-    if (lit_start >= end) return;
-    w.Tok("l");
-    w.Str(std::string_view(target).substr(lit_start, end - lit_start));
-  };
-
-  std::size_t i = 0;
-  std::uint64_t h = 0;
-  bool have_hash = false;
-  while (i + kDeltaBlock <= target.size()) {
-    if (!have_hash) {
-      h = DeltaBlockHash(target.data() + i, kDeltaBlock);
-      have_hash = true;
-    }
-    std::size_t match_off = 0;
-    std::size_t match_len = 0;
-    if (const auto it = index.find(h); it != index.end()) {
-      for (const std::size_t cand : it->second) {
-        if (std::memcmp(base.data() + cand, target.data() + i, kDeltaBlock) !=
-            0) {
-          continue;  // hash collision
-        }
-        std::size_t len = kDeltaBlock;
-        while (cand + len < base.size() && i + len < target.size() &&
-               base[cand + len] == target[i + len]) {
-          ++len;
-        }
-        if (len > match_len) {
-          match_len = len;
-          match_off = cand;
-        }
-      }
-    }
-    if (match_len > 0) {
-      flush_literal(i);
-      w.Tok("c");
-      w.U64(match_off);
-      w.U64(match_len);
-      i += match_len;
-      lit_start = i;
-      have_hash = false;
-    } else if (i + kDeltaBlock < target.size()) {
-      // Roll the window one byte: drop target[i], take in the next byte.
-      h = (h - static_cast<std::uint64_t>(
-                   static_cast<unsigned char>(target[i])) *
-                   pow) *
-              kDeltaHashMult +
-          static_cast<unsigned char>(target[i + kDeltaBlock]);
-      ++i;
-    } else {
-      break;  // window cannot advance further; the rest is literal
-    }
-  }
-  flush_literal(target.size());
-  return w.Take();
-}
-
-std::string ApplyImageDelta(const std::string& base,
-                            const std::string& delta) {
-  TokenReader r(delta);
-  r.Expect("delta");
-  const std::uint32_t base_crc = r.U32();
-  const std::uint32_t target_crc = r.U32();
-  const std::uint64_t target_len = r.U64();
-  if (base_crc != Crc32c(base)) {
-    Malformed("delta base image mismatch");
-  }
-  std::string out;
-  out.reserve(target_len);
-  while (!r.AtEnd()) {
-    const std::string op = r.Next();
-    if (op == "c") {
-      const std::uint64_t off = r.U64();
-      const std::uint64_t len = r.U64();
-      if (off > base.size() || len > base.size() - off) {
-        Malformed("delta copy out of range");
-      }
-      if (out.size() + len > target_len) {
-        Malformed("delta output exceeds declared length");
-      }
-      out.append(base, off, len);
-    } else if (op == "l") {
-      const std::string lit = r.Str();
-      if (out.size() + lit.size() > target_len) {
-        Malformed("delta output exceeds declared length");
-      }
-      out += lit;
-    } else {
-      Malformed("unknown delta op '" + op + "'");
-    }
-  }
-  if (out.size() != target_len || Crc32c(out) != target_crc) {
-    Malformed("delta reconstruction mismatch");
-  }
-  return out;
 }
 
 }  // namespace pivot

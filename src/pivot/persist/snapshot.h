@@ -52,25 +52,6 @@ struct DecodedImage {
 // that the same as a CRC failure: the frame is not trusted).
 DecodedImage DecodeSessionImage(const std::string& image);
 
-// --- image deltas (kDeltaSnapshot frame payloads) ---
-//
-// An rsync-style block delta: the base image is indexed in fixed-size
-// blocks, the target is scanned with a rolling hash, and every block-sized
-// (or longer) region already present in the base becomes a copy op instead
-// of literal bytes. Token format:
-//
-//   "delta" <base crc32c> <target crc32c> <target length>
-//   ( "c" <base offset> <length> | "l" <literal string> )*
-//
-// Apply verifies both CRCs — the base must be the exact image the delta
-// was encoded against, and the reconstruction must be byte-identical —
-// and throws ProgramError otherwise (recovery treats that like any other
-// corrupt frame and falls back).
-std::string EncodeImageDelta(const std::string& base,
-                             const std::string& target);
-std::string ApplyImageDelta(const std::string& base,
-                            const std::string& delta);
-
 }  // namespace pivot
 
 #endif  // PIVOT_PERSIST_SNAPSHOT_H_

@@ -237,7 +237,7 @@ WalScanResult ScanWal(const std::string& path) {
     }
     const unsigned char type = static_cast<unsigned char>(payload[0]);
     if (type < static_cast<unsigned char>(FrameType::kGenesis) ||
-        type > static_cast<unsigned char>(FrameType::kDeltaSnapshot)) {
+        type > static_cast<unsigned char>(FrameType::kRetiredDelta)) {
       result.truncation_reason = "unknown frame type";
       break;
     }

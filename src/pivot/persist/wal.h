@@ -38,9 +38,10 @@ namespace pivot {
 // compatibility); older versions would be migrated explicitly, never
 // guessed at. Version history:
 //   1 — genesis/txn/snapshot/group frames;
-//   2 — adds kDeltaSnapshot (a version-1 reader would mis-scan a delta
-//       frame as an unknown type and silently truncate the tail there,
-//       hence the bump: old readers refuse loudly instead);
+//   2 — adds the delta-snapshot frame, type 5 (a version-1 reader would
+//       mis-scan it as an unknown type and silently truncate the tail
+//       there, hence the bump: old readers refuse loudly instead). No
+//       longer written; see kRetiredDelta;
 //   3 — snapshot bodies may carry a "base <n>" clause (cumulative txn
 //       frames dropped from beneath the file by compaction; see
 //       persist/wire.h). A version-2 reader would parse the covered count
@@ -64,10 +65,12 @@ enum class FrameType : unsigned char {
   kGroup = 4,     // group-commit log envelope: (session, frame type, frame
                   // body) or a retention mark; only appears in a server's
                   // shared server.gwal
-  kDeltaSnapshot = 5,  // session image as a delta against the previous
-                       // snapshot image (full or reconstructed); recovery
-                       // rebuilds the base by applying the chain since the
-                       // last full snapshot
+  kRetiredDelta = 5,  // a snapshot image encoded as a delta against the
+                      // previous one, written by older builds. Still a
+                      // valid frame (so an old journal keeps its tail),
+                      // but recovery and compaction skip it: a full
+                      // snapshot or the genesis before it, plus the txn
+                      // frames, already cover its state
 };
 
 // Appends frames to a journal file via POSIX fd I/O. The writer does not

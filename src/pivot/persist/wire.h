@@ -53,9 +53,7 @@ GenesisInfo DecodeGenesis(const std::string& body);  // throws ProgramError
 // --- snapshot frame body ---
 // "txns <count>[ base <base>]\n<payload>": the count of txn frames
 // preceding the snapshot IN THIS FILE (so recovery knows how much of the
-// tail the image covers), then the payload — a full session image for
-// kSnapshot frames, an image delta (see persist/snapshot.h) for
-// kDeltaSnapshot frames.
+// tail the image covers), then the payload: a full session image.
 //
 // `base` is the cumulative number of txn frames that compaction has
 // dropped from beneath this file over its lifetime: the t-th txn frame in

@@ -50,7 +50,7 @@ namespace pivot {
 
 struct GroupCommitOptions {
   // fsync the shared log before acknowledging commits. Off = bench mode
-  // (durability left to the kernel), same trade as PersistOptions::fsync.
+  // (durability left to the kernel), the same trade as a no-op JournalAck.
   bool fsync = true;
   // One fsync per *batch* (the whole point). false = one fsync per frame,
   // the per-commit baseline bench_server A/Bs against.
@@ -108,7 +108,7 @@ class GroupCommitLog {
   // Blocks until the batch containing this frame is durable (group fsync
   // returned). Throws ServerOverloadedError (queue full),
   // ServerShuttingDownError (racing Drain/shutdown; retryable),
-  // ServerDegradedError / ServerWriteFaultError (log failed), or the
+  // ServerDegradedError (log failed), or the
   // crash-harness FaultInjectedError.
   void Commit(const std::string& session, FrameType type,
               const std::string& body);

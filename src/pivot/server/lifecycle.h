@@ -8,11 +8,16 @@
 // only a stub carrying the acked-transaction watermark. The next request
 // for the name *reactivates* it transparently through the ordinary
 // Session::Recover path (snapshot + tail replay), so clients never observe
-// the eviction beyond latency.
+// the eviction beyond latency. Passivation always compacts the WAL down to
+// genesis + snapshot + tail, so a passivated session's disk footprint
+// tracks its live state, not its whole history; the rewrite pushes the
+// dropped txn count into the snapshot's `base` clause (persist/wire.h) so
+// gwal reconciliation still aligns by absolute transaction index.
 //
 // This header holds the policy knobs and the byte-accounted LRU the server
 // uses to pick victims; the passivation/reactivation machinery itself lives
-// in server.cc (it needs the ServerJournal internals).
+// in server.cc, on top of persist's DurableJournal (Checkpoint for the
+// final snapshot, CompactJournalFile for the rewrite after release).
 #ifndef PIVOT_SERVER_LIFECYCLE_H_
 #define PIVOT_SERVER_LIFECYCLE_H_
 
@@ -39,13 +44,6 @@ struct LifecycleOptions {
   std::uint64_t idle_passivate_ms = 0;
   // How often the reaper wakes to look for idle sessions.
   std::uint64_t reaper_interval_ms = 100;
-  // After the final passivation snapshot, rewrite the session WAL down to
-  // genesis + snapshot + tail (atomic tmp + rename, crash-swept like
-  // persist compaction) so a passivated session's disk footprint tracks
-  // its live state, not its whole history. The rewrite pushes the dropped
-  // txn count into the snapshot's `base` clause (persist/wire.h) so gwal
-  // reconciliation still aligns by absolute transaction index.
-  bool compact_on_passivate = true;
 };
 
 // Byte-accounted LRU over the names of resident sessions. Front of the

@@ -160,14 +160,6 @@ class ServerShuttingDownError : public ProgramError {
       : ProgramError("shutting down: " + what) {}
 };
 
-// A permanent write fault in the server's WAL path (transient retries
-// exhausted). The server escalates this to degraded mode instead of dying.
-class ServerWriteFaultError : public ProgramError {
- public:
-  explicit ServerWriteFaultError(const std::string& what)
-      : ProgramError("write fault: " + what) {}
-};
-
 }  // namespace pivot
 
 #endif  // PIVOT_SERVER_PROTOCOL_H_

@@ -5,13 +5,11 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <sstream>
 #include <thread>
 
 #include "pivot/ir/parser.h"
-#include "pivot/persist/snapshot.h"
 #include "pivot/persist/wire.h"
 #include "pivot/support/fault_injector.h"
 
@@ -23,7 +21,7 @@ using Clock = std::chrono::steady_clock;
 constexpr Clock::time_point kNoDeadline = Clock::time_point::max();
 
 // The deadline of the request currently executing on this thread, visible
-// to the commit path (ServerJournal::OnCommit checks it just before the
+// to the commit path (the journal ack checks it just before the
 // group-commit enqueue — the point of no return).
 thread_local Clock::time_point t_deadline = kNoDeadline;
 
@@ -87,261 +85,6 @@ const char* ServerModeName(ServerMode mode) {
 }
 
 // ---------------------------------------------------------------------------
-// ServerJournal: the per-session WAL + group-commit listener
-// ---------------------------------------------------------------------------
-
-// Like persist's DurableJournal but with the durability point moved into
-// the shared group-commit log: per-session appends never fsync; the frame
-// body is handed to GroupCommitLog::Commit, which blocks until the batch
-// containing it is durable. Snapshots stay session-local (pure read
-// optimization — losing one merely lengthens replay).
-class PivotServer::ServerJournal final : public CommitListener {
- public:
-  static std::unique_ptr<ServerJournal> Create(Session& session,
-                                               const std::string& name,
-                                               const std::string& path,
-                                               GroupCommitLog& group,
-                                               int snapshot_interval,
-                                               std::function<void()> degrade) {
-    FileLock lock = FileLock::Acquire(path);
-    try {
-      WalWriter writer = WalWriter::Create(path);
-      const std::string body =
-          EncodeGenesis(session.options(), session.Source());
-      writer.AppendFrame(FrameType::kGenesis, body, /*fsync=*/false,
-                         "server.swal.genesis");
-      auto journal = std::unique_ptr<ServerJournal>(
-          new ServerJournal(session, name, std::move(lock), std::move(writer),
-                            group, snapshot_interval, std::move(degrade)));
-      // The genesis is acknowledged like any commit: via the group fsync.
-      group.Commit(name, FrameType::kGenesis, body);
-      session.set_commit_listener(journal.get());
-      return journal;
-    } catch (const FaultInjectedError&) {
-      throw;  // crash harness: the file stays exactly as the crash left it
-    } catch (...) {
-      // The genesis was never group-acknowledged, so no session came into
-      // existence — e.g. the group queue rejected it with kOverloaded.
-      // Remove the freshly created WAL (and its lock file) or every later
-      // kOpen of this name would bounce with "journal already exists" for
-      // a session that was never durable. unlink(2) tolerates the fd/flock
-      // still being open; both are released as the stack unwinds.
-      ::unlink(path.c_str());
-      ::unlink((path + ".lock").c_str());
-      throw;
-    }
-  }
-
-  // After recovery: append behind the (already truncated-to-valid) end.
-  static std::unique_ptr<ServerJournal> Attach(Session& session,
-                                               const std::string& name,
-                                               const std::string& path,
-                                               GroupCommitLog& group,
-                                               int snapshot_interval,
-                                               std::function<void()> degrade) {
-    FileLock lock = FileLock::Acquire(path);
-    const WalScanResult scan = ScanWal(path);
-    if (!scan.header_ok || scan.frames.empty() ||
-        scan.valid_bytes != scan.file_bytes) {
-      throw ProgramError("server journal: " + path +
-                         " is not a clean journal; recover it first");
-    }
-    auto journal = std::unique_ptr<ServerJournal>(
-        new ServerJournal(session, name, std::move(lock),
-                          WalWriter::Append(path), group, snapshot_interval,
-                          std::move(degrade)));
-    for (const WalFrame& frame : scan.frames) {
-      if (frame.type == FrameType::kTxn) {
-        ++journal->txns_;
-        ++journal->since_snapshot_;
-      } else if (frame.type == FrameType::kSnapshot) {
-        journal->since_snapshot_ = 0;
-        // Compaction (at passivation) pushes dropped txn frames into the
-        // snapshot's base clause; the largest one is the file's cumulative
-        // offset into the session's absolute history.
-        const std::uint64_t base = DecodeSnapshotBody(frame.body).base;
-        if (base > journal->base_) journal->base_ = base;
-      }
-    }
-    session.set_commit_listener(journal.get());
-    return journal;
-  }
-
-  ~ServerJournal() override {
-    if (session_.commit_listener() == this) {
-      session_.set_commit_listener(nullptr);
-    }
-  }
-
-  void OnCommit(const TxnDescriptor& desc) override {
-    if (broken_) {
-      throw ServerWriteFaultError(
-          "session journal poisoned by an earlier write fault");
-    }
-    // Last exit before work that cannot be abandoned: past this point the
-    // frame goes to disk even if the client has given up on it.
-    CheckDeadline("before the commit was journaled");
-    const std::string body = EncodeTxn(desc, ComputeDigest(session_));
-    const std::uint64_t pre = writer_.offset();
-    try {
-      writer_.AppendFrame(FrameType::kTxn, body, /*fsync=*/false,
-                          "server.swal.txn");
-    } catch (const FaultInjectedError&) {
-      broken_ = true;  // crash harness: leave the torn tail as-is
-      throw;
-    } catch (const ProgramError& e) {
-      Poison(pre);
-      throw ServerWriteFaultError(std::string("session journal: ") +
-                                  e.what());
-    }
-    PIVOT_FAULT_POINT("server.commit.enqueue.pre");
-    try {
-      // Blocks until the group fsync covering this frame returns — the
-      // acknowledgement point of the whole server.
-      group_.Commit(name_, FrameType::kTxn, body);
-    } catch (const FaultInjectedError&) {
-      broken_ = true;
-      throw;
-    } catch (...) {
-      // Not durable (rejected or the group log failed): the session rolls
-      // this operation back, so the frame must come off the session WAL or
-      // a later recovery would replay a commit that never happened.
-      Poison(pre);
-      throw;
-    }
-    ++txns_;
-    ++since_snapshot_;
-  }
-
-  // For the gwal retention pass: make this session's WAL frames durable
-  // and report how many txn frames that provably covers. Only after the
-  // fsync returns may the group log drop this session's envelopes — the
-  // session file is then their sole durable copy.
-  //
-  // Runs WITHOUT the session lock (a committer parked on the group ticket
-  // holds that lock for its whole commit, so a blocking acquire here
-  // starves retention on a saturated server). The pre-read below is what
-  // makes that safe: a frame is counted in txns_ only after its write(2)
-  // returned, so every frame behind `covered` is in the file when the
-  // load observes it, and the fsync — racing at most with a LATER append
-  // — makes at least those bytes durable. The watermark never vouches
-  // for an in-flight frame. Throws ProgramError on a permanent fsync
-  // fault (the caller skips the session).
-  std::uint64_t SyncWalForRetention() {
-    if (broken_.load(std::memory_order_acquire)) {
-      throw ServerWriteFaultError(
-          "session journal poisoned by an earlier write fault");
-    }
-    const std::uint64_t covered = txns_.load(std::memory_order_acquire);
-    writer_.Sync();
-    // Watermarks count from the group log's logical start, so a file that
-    // was compacted while passivated reports its base plus what it holds.
-    return base_ + covered;
-  }
-
-  bool broken() const { return broken_; }
-
-  void OnCommitted(const TxnDescriptor& desc) override {
-    (void)desc;
-    if (broken_ || snapshot_interval_ <= 0) return;
-    if (since_snapshot_ < static_cast<std::uint64_t>(snapshot_interval_)) {
-      return;
-    }
-    const std::string body =
-        EncodeSnapshotBody(txns_, EncodeSessionImage(session_), base_);
-    const std::uint64_t pre = writer_.offset();
-    try {
-      writer_.AppendFrame(FrameType::kSnapshot, body, /*fsync=*/false,
-                          "server.swal.snapshot");
-      since_snapshot_ = 0;
-    } catch (const FaultInjectedError&) {
-      broken_ = true;
-      throw;  // the commit itself is durable and acknowledged
-    } catch (const ProgramError&) {
-      // A snapshot is optional; the fault is not. Roll the torn frame off
-      // (best effort) and degrade — the disk is telling us something.
-      Poison(pre);
-      if (degrade_) degrade_();
-    }
-  }
-
-  // Passivation: one final durable snapshot (or a bare fsync when the last
-  // interval snapshot already covers everything), making the file the sole
-  // authority for this session's state. Returns the absolute acked-txn
-  // watermark the stub carries — the count this fsync provably covers, so
-  // it may keep feeding gwal retention while the session is passivated.
-  // Throws ServerWriteFaultError on a permanent fault (the torn frame is
-  // rolled off and the session must stay resident) and FaultInjectedError
-  // for the crash harness.
-  std::uint64_t PassivateToDisk() {
-    if (broken_.load(std::memory_order_acquire)) {
-      throw ServerWriteFaultError(
-          "session journal poisoned by an earlier write fault");
-    }
-    const std::uint64_t pre = writer_.offset();
-    try {
-      if (since_snapshot_ > 0) {
-        const std::string body =
-            EncodeSnapshotBody(txns_, EncodeSessionImage(session_), base_);
-        writer_.AppendFrame(FrameType::kSnapshot, body, /*fsync=*/true,
-                            "server.evict.snapshot");
-        since_snapshot_ = 0;
-      } else {
-        writer_.Sync();
-      }
-    } catch (const FaultInjectedError&) {
-      broken_ = true;
-      throw;
-    } catch (const ProgramError& e) {
-      Poison(pre);
-      throw ServerWriteFaultError(std::string("passivation snapshot: ") +
-                                  e.what());
-    }
-    return base_ + txns_.load(std::memory_order_acquire);
-  }
-
- private:
-  ServerJournal(Session& session, std::string name, FileLock lock,
-                WalWriter writer, GroupCommitLog& group, int snapshot_interval,
-                std::function<void()> degrade)
-      : session_(session),
-        name_(std::move(name)),
-        lock_(std::move(lock)),
-        writer_(std::move(writer)),
-        group_(group),
-        snapshot_interval_(snapshot_interval),
-        degrade_(std::move(degrade)) {}
-
-  // Rolls an unacknowledged frame off the WAL; when even that fails the
-  // file may end mid-frame and no further append is safe.
-  void Poison(std::uint64_t pre) {
-    try {
-      writer_.TruncateTo(pre);
-    } catch (...) {
-      broken_ = true;
-    }
-  }
-
-  Session& session_;
-  const std::string name_;
-  FileLock lock_;
-  WalWriter writer_;
-  GroupCommitLog& group_;
-  const int snapshot_interval_;
-  const std::function<void()> degrade_;
-  // Atomic so the retention pass can read a durable-coverage watermark
-  // without taking the session lock (see SyncWalForRetention).
-  std::atomic<std::uint64_t> txns_{0};
-  // Cumulative txn frames compaction dropped from beneath this file (the
-  // largest snapshot base at attach time); txns_ stays file-relative, so
-  // the absolute acked count is base_ + txns_. Immutable after attach —
-  // the file is only ever compacted while no journal owns it.
-  std::uint64_t base_ = 0;
-  std::uint64_t since_snapshot_ = 0;
-  std::atomic<bool> broken_{false};
-};
-
-// ---------------------------------------------------------------------------
 // Hosted session bookkeeping
 // ---------------------------------------------------------------------------
 
@@ -355,7 +98,7 @@ struct PivotServer::Hosted {
   // retention pass reads it under retention_mu alone, so it never has to
   // compete with committers for mu (which they hold across the group
   // ticket wait — a blocking acquire would starve retention under load).
-  std::unique_ptr<ServerJournal> journal;
+  std::unique_ptr<DurableJournal> journal;
   std::mutex retention_mu;
   std::atomic<int> inflight{0};
   bool closed = false;  // guarded by mu
@@ -369,78 +112,6 @@ struct PivotServer::Hosted {
 };
 
 namespace {
-
-// Rewrites a clean, unowned session WAL down to genesis + the newest full
-// snapshot + the frames after it, mirroring persist's compaction: the
-// rewrite goes to `<path>.compact`, is fsynced, and renamed over the
-// journal atomically, so a crash at any byte leaves the complete old file
-// or the complete new one. Dropped txn frames are pushed into the
-// snapshots' `base` clause so gwal reconciliation can still align the file
-// by absolute transaction index. The caller holds the journal's flock (no
-// live writer may race the rename) and runs this only at passivation —
-// after the final snapshot is durable, which is what licenses dropping
-// the covered prefix. Stale tmp files are removed by RecoverSession at
-// reactivation, exactly like persist compaction crashes.
-void CompactSessionWalFile(const std::string& path) {
-  PIVOT_FAULT_POINT("server.evict.compact.pre");
-  const WalScanResult scan = ScanWal(path);
-  if (!scan.header_ok || scan.frames.empty() ||
-      scan.valid_bytes != scan.file_bytes) {
-    return;  // not a clean journal; leave it to recovery
-  }
-  std::size_t full = 0;
-  for (std::size_t i = scan.frames.size(); i-- > 1;) {
-    if (scan.frames[i].type == FrameType::kSnapshot) {
-      full = i;
-      break;
-    }
-  }
-  if (full == 0) return;
-  const SnapshotBody anchor = DecodeSnapshotBody(scan.frames[full].body);
-  const std::uint64_t dropped = anchor.txns;
-  if (dropped == 0) return;
-  // Same inconsistency guard as persist's Compact: the anchor's covered
-  // count must equal the txn frames actually preceding it, or nothing is
-  // dropped on untrustworthy evidence.
-  std::uint64_t preceding = 0;
-  for (std::size_t i = 1; i < full; ++i) {
-    if (scan.frames[i].type == FrameType::kTxn) ++preceding;
-  }
-  if (preceding != dropped) return;
-
-  const std::string tmp = path + ".compact";
-  try {
-    WalWriter out = WalWriter::Create(tmp);
-    out.AppendFrame(FrameType::kGenesis, scan.frames[0].body, false,
-                    "server.evict.compact.frame");
-    for (std::size_t i = full; i < scan.frames.size(); ++i) {
-      const WalFrame& frame = scan.frames[i];
-      if (frame.type == FrameType::kTxn) {
-        out.AppendFrame(FrameType::kTxn, frame.body, false,
-                        "server.evict.compact.frame");
-      } else if (frame.type == FrameType::kSnapshot) {
-        SnapshotBody body = DecodeSnapshotBody(frame.body);
-        body.txns = body.txns >= dropped ? body.txns - dropped : 0;
-        out.AppendFrame(
-            FrameType::kSnapshot,
-            EncodeSnapshotBody(body.txns, body.payload, body.base + dropped),
-            false, "server.evict.compact.frame");
-      }
-    }
-    out.Sync("server.evict.compact.tmp.synced");
-    PIVOT_FAULT_POINT("server.evict.compact.rename.pre");
-    if (::rename(tmp.c_str(), path.c_str()) != 0) {
-      throw ProgramError("session wal compaction rename failed: " +
-                         std::string(std::strerror(errno)));
-    }
-    PIVOT_FAULT_POINT("server.evict.compact.rename.post");
-  } catch (const FaultInjectedError&) {
-    throw;  // crash harness: leave everything as the crash left it
-  } catch (...) {
-    std::remove(tmp.c_str());
-    throw;
-  }
-}
 
 // Releases an admission slot (global or per-session) on scope exit.
 struct SlotGuard {
@@ -651,7 +322,7 @@ Response PivotServer::Execute(const Request& req) {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.rejected_overload;
     return Fail(StatusCode::kOverloaded, e.what());
-  } catch (const ServerWriteFaultError& e) {
+  } catch (const JournalWriteError& e) {
     Degrade("session journal write fault");
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.rejected_degraded;
@@ -845,6 +516,10 @@ Response PivotServer::Dispatch(const Request& req,
   }
 
   if (!ReadOnlyOp(req.op) && req.op != ServerOp::kClose) {
+    // A snapshot write fault after the commit left the commit standing
+    // (the client gets its result) but poisoned the journal: the disk is
+    // failing, go read-only now rather than at the next commit.
+    if (hosted->journal->broken()) Degrade("session snapshot write fault");
     std::lock_guard<std::mutex> stats_lock(stats_mu_);
     ++stats_.commits;
   }
@@ -852,6 +527,20 @@ Response PivotServer::Dispatch(const Request& req,
   // estimate for the eviction policy.
   TouchLru(req.session, session);
   return resp;
+}
+
+// A session journal's frames become durable in the shared group log, not
+// in the session file: the journal appends without fsync, and this ack
+// blocks until the group fsync covering the frame returns — the
+// acknowledgement point of the whole server.
+JournalAck PivotServer::GroupAck(const std::string& name) {
+  return [this, name](FrameType type, const std::string& body) {
+    // Last exit before work that cannot be abandoned: past this point the
+    // frame goes to disk even if the client has given up on it.
+    CheckDeadline("before the commit was journaled");
+    PIVOT_FAULT_POINT("server.commit.enqueue.pre");
+    group_->Commit(name, type, body);
+  };
 }
 
 // Publishes a still-empty Hosted entry for `name` under sessions_mu_,
@@ -900,10 +589,10 @@ Response PivotServer::DoOpen(const Request& req) {
       return Fail(StatusCode::kSessionExists,
                   "journal " + path + " already exists; use recover");
     }
-    auto journal = ServerJournal::Create(
-        *hosted->session, req.session, path, *group_,
-        options_.snapshot_interval,
-        [this] { Degrade("session journal write fault"); });
+    auto journal = DurableJournal::Create(
+        *hosted->session, path,
+        {.snapshot_interval = options_.snapshot_interval},
+        GroupAck(req.session));
     std::lock_guard<std::mutex> retention(hosted->retention_mu);
     hosted->journal = std::move(journal);
   } catch (...) {
@@ -950,10 +639,10 @@ Response PivotServer::DoRecover(const Request& req) {
     const std::string path = SessionWalPath(req.session);
     RecoverResult recovered = RecoverSession(path);
     hosted->session = std::move(recovered.session);
-    auto journal = ServerJournal::Attach(
-        *hosted->session, req.session, path, *group_,
-        options_.snapshot_interval,
-        [this] { Degrade("session journal write fault"); });
+    auto journal = DurableJournal::Reattach(
+        *hosted->session, path, recovered.report,
+        {.snapshot_interval = options_.snapshot_interval},
+        GroupAck(req.session));
     {
       std::lock_guard<std::mutex> retention(hosted->retention_mu);
       hosted->journal = std::move(journal);
@@ -978,7 +667,8 @@ Response PivotServer::DoRecover(const Request& req) {
 // wait, so on a saturated server a blocking acquire starves the pass
 // until the load stops (exactly when retention no longer matters).
 // retention_mu only fences journal creation/destruction; the fsync itself
-// is safe against a concurrent append (see SyncWalForRetention).
+// is safe against a concurrent append (see
+// DurableJournal::SyncDurableTxns).
 Response PivotServer::DoCompactGwal() {
   std::vector<std::shared_ptr<Hosted>> hosted_snapshot;
   {
@@ -1003,7 +693,7 @@ Response PivotServer::DoCompactGwal() {
       continue;
     }
     try {
-      watermarks[hosted->name] = hosted->journal->SyncWalForRetention();
+      watermarks[hosted->name] = hosted->journal->SyncDurableTxns();
     } catch (const FaultInjectedError&) {
       throw;  // crash harness
     } catch (...) {
@@ -1110,7 +800,8 @@ void PivotServer::ReconcileSessionWal(const std::string& name) {
     FileLock lock = FileLock::Acquire(path);
     WalWriter writer = WalWriter::Create(path);
     for (const GroupFrame& entry : entries) {
-      writer.AppendFrame(entry.type, entry.body, /*fsync=*/false, "server.swal.txn");
+      writer.AppendFrame(entry.type, entry.body, /*fsync=*/false,
+                         "server.reconcile.frame");
     }
     writer.Sync();
     return;
@@ -1191,7 +882,7 @@ void PivotServer::ReconcileSessionWal(const std::string& name) {
   WalWriter writer = WalWriter::Append(path);
   for (std::size_t i = sbase + matched - dropped; i < gwal_txns.size(); ++i) {
     writer.AppendFrame(FrameType::kTxn, gwal_txns[i]->body, /*fsync=*/false,
-                       "server.swal.txn");
+                       "server.reconcile.frame");
   }
   writer.Sync();
 }
@@ -1208,7 +899,7 @@ void PivotServer::ReconcileSessionWal(const std::string& name) {
 //      envelopes via the stub instead of the live journal;
 //   3. release the journal (under retention_mu, fencing a concurrent
 //      retention pass) and the Session;
-//   4. optionally rewrite the WAL down to genesis + snapshot + tail.
+//   4. rewrite the WAL down to genesis + snapshot + tail.
 // A crash between any two steps is covered: the snapshot of step 1 is
 // durable before anything is released, and the compaction of step 4 is
 // atomic (tmp + rename) with stale tmps cleaned at reactivation.
@@ -1216,10 +907,10 @@ bool PivotServer::PassivateLocked(const std::shared_ptr<Hosted>& hosted) {
   PIVOT_FAULT_POINT("server.evict.pre");
   std::uint64_t watermark = 0;
   try {
-    watermark = hosted->journal->PassivateToDisk();
+    watermark = hosted->journal->Checkpoint();
   } catch (const FaultInjectedError&) {
     throw;  // crash harness (callers flip kCrashed)
-  } catch (const ServerWriteFaultError&) {
+  } catch (const JournalWriteError&) {
     // The WAL could not be made durable, so the Session must stay
     // resident — it is the only correct copy. The disk is failing;
     // degrade the server rather than retrying evictions forever.
@@ -1247,18 +938,19 @@ bool PivotServer::PassivateLocked(const std::shared_ptr<Hosted>& hosted) {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.passivations;
   }
-  if (options_.lifecycle.compact_on_passivate) {
-    try {
-      // The journal's flock was just released; re-acquire it for the
-      // rewrite so no other process can race the rename.
-      FileLock lock = FileLock::Acquire(SessionWalPath(hosted->name));
-      CompactSessionWalFile(SessionWalPath(hosted->name));
-    } catch (const FaultInjectedError&) {
-      throw;  // crash harness
-    } catch (...) {
-      // Compaction is an optimization — the uncompacted file is valid and
-      // reactivation does not depend on it.
-    }
+  try {
+    // The journal's flock was just released; re-acquire it for the rewrite
+    // so no other process can race the rename. Compacting only after the
+    // release keeps the retention pass, which fsyncs live journals without
+    // the session lock, off a file being swapped.
+    const std::string path = SessionWalPath(hosted->name);
+    FileLock lock = FileLock::Acquire(path);
+    CompactJournalFile(path);
+  } catch (const FaultInjectedError&) {
+    throw;  // crash harness
+  } catch (...) {
+    // Compaction is an optimization — the uncompacted file is valid and
+    // reactivation does not depend on it.
   }
   PIVOT_FAULT_POINT("server.evict.stub.post");
   return true;
@@ -1276,10 +968,10 @@ void PivotServer::ReactivateLocked(const std::shared_ptr<Hosted>& hosted) {
   RecoverResult recovered = RecoverSession(path);  // throws on failure
   hosted->session = std::move(recovered.session);
   try {
-    auto journal = ServerJournal::Attach(
-        *hosted->session, hosted->name, path, *group_,
-        options_.snapshot_interval,
-        [this] { Degrade("session journal write fault"); });
+    auto journal = DurableJournal::Reattach(
+        *hosted->session, path, recovered.report,
+        {.snapshot_interval = options_.snapshot_interval},
+        GroupAck(hosted->name));
     std::lock_guard<std::mutex> retention(hosted->retention_mu);
     hosted->journal = std::move(journal);
   } catch (...) {

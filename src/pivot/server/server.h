@@ -21,14 +21,19 @@
 //     group log. The SIGTERM half of tools/pivot_serve;
 //   * session lifecycle — a byte-accounted LRU of resident sessions with
 //     a configurable memory budget and idle-age passivation: eviction
-//     appends one final durable snapshot and releases the Session and its
-//     journal, keeping only a stub with the acked-txn watermark; the next
-//     request reactivates the session transparently through
-//     Session::Recover (see server/lifecycle.h).
+//     appends one final durable snapshot, releases the Session and its
+//     journal, and compacts the WAL, keeping only a stub with the
+//     acked-txn watermark; the next request reactivates the session
+//     transparently through Session::Recover (see server/lifecycle.h).
 //
-// Durability contract (crash-swept in tests/server_crash_test.cc): per-
-// session WALs are appended WITHOUT fsync; the single group-log fsync is
-// the only durability point, and a commit is acknowledged only after it.
+// Durability contract (crash-swept in tests/server_crash_test.cc): each
+// session is journaled by a persist DurableJournal whose ack is the group
+// log — session WALs are appended WITHOUT fsync, the single group-log
+// fsync is the only durability point, and a commit is acknowledged only
+// after it. A frame the group log refuses (overload, deadline, a failed
+// log) is rolled back off the session WAL, so the session stays usable;
+// a permanent session-WAL write fault degrades the server (see the
+// failure policy in persist/durable.h).
 // On startup the server scans the group log and reconciles each session
 // WAL against it by content — re-appending acked frames a crash kept out
 // of the unsynced per-session file and dropping unacknowledged leftovers
@@ -154,7 +159,6 @@ class PivotServer {
 
  private:
   struct Hosted;
-  class ServerJournal;
 
   std::shared_ptr<Hosted> FindSession(const std::string& name);
   // Reserve a session name with a still-initializing entry / roll the
@@ -164,6 +168,9 @@ class PivotServer {
   void Unpublish(const std::shared_ptr<Hosted>& hosted);
   Response Dispatch(const Request& req, std::chrono::steady_clock::time_point
                                             deadline);
+  // A session journal's ack: block until the frame is durable in the group
+  // log (see the definition).
+  JournalAck GroupAck(const std::string& name);
   Response DoOpen(const Request& req);
   Response DoRecover(const Request& req);
   // Passivation: final durable snapshot, release Session + journal, keep a

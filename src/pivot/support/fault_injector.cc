@@ -130,20 +130,21 @@ const std::vector<std::string>& FaultInjector::KnownPoints() {
       "persist.compact.txn.header.post",     "persist.compact.txn.mid",
       "persist.compact.txn.post",            "persist.compact.tmp.synced",
       "persist.compact.rename.pre",          "persist.compact.rename.post",
-      // Server crash points. server.swal.* frames go to a per-session WAL
-      // (no fsync of their own — group commit provides durability), so
-      // only the torn-frame triple exists; server.gwal.* is the shared
-      // group-commit log, whose sync.post models a crash after the batch
-      // fsync but before any waiting client is acknowledged.
-      "server.swal.genesis.header.post", "server.swal.genesis.mid",
-      "server.swal.genesis.post",        "server.swal.txn.header.post",
-      "server.swal.txn.mid",             "server.swal.txn.post",
-      "server.swal.snapshot.header.post","server.swal.snapshot.mid",
-      "server.swal.snapshot.post",       "server.commit.enqueue.pre",
+      // Server crash points. A session's WAL frames cross the persist.*
+      // points above (its DurableJournal appends without fsync; the group
+      // log acks), so only the server's own steps are listed here:
+      // enqueue.pre sits between the session append and the group commit;
+      // server.gwal.* is the shared group-commit log, whose sync.post
+      // models a crash after the batch fsync but before any waiting client
+      // is acknowledged; server.reconcile.frame.* tears a frame the
+      // startup reconciliation re-appends to a session WAL.
+      "server.commit.enqueue.pre",
       "server.batch.pre",                "server.gwal.frame.header.post",
       "server.gwal.frame.mid",           "server.gwal.frame.post",
       "server.gwal.sync.post",           "server.ack.pre",
       "server.recover.reconcile.pre",
+      "server.reconcile.frame.header.post", "server.reconcile.frame.mid",
+      "server.reconcile.frame.post",
       // gwal retention crash points, mirroring persist.compact.*: tmp-file
       // tears before the rename commit point, then the rename straddle.
       "server.gwal.compact.pre",
@@ -157,24 +158,13 @@ const std::vector<std::string>& FaultInjector::KnownPoints() {
       "server.gwal.compact.rename.pre",
       "server.gwal.compact.rename.post",
       // Session eviction (passivation/reactivation) crash points. The
-      // .snapshot.* quadruple tears the final durable snapshot; release.pre
-      // sits between that fsync and the stub publication; the compact.*
-      // family mirrors persist.compact.* for the passivated-WAL rewrite;
-      // stub.post is the fully passivated state; reactivate.pre/.post
-      // straddle the Session::Recover + reattach of the next request.
+      // final durable snapshot and the WAL rewrite cross persist.snapshot.*
+      // and persist.compact.*; evict.pre precedes them; release.pre sits
+      // between the snapshot fsync and the stub publication; stub.post is
+      // the fully passivated state; reactivate.pre/.post straddle the
+      // Session::Recover + reattach of the next request.
       "server.evict.pre",
-      "server.evict.snapshot.header.post",
-      "server.evict.snapshot.mid",
-      "server.evict.snapshot.post",
-      "server.evict.snapshot.fsync.post",
       "server.evict.release.pre",
-      "server.evict.compact.pre",
-      "server.evict.compact.frame.header.post",
-      "server.evict.compact.frame.mid",
-      "server.evict.compact.frame.post",
-      "server.evict.compact.tmp.synced",
-      "server.evict.compact.rename.pre",
-      "server.evict.compact.rename.post",
       "server.evict.stub.post",
       "server.evict.reactivate.pre",
       "server.evict.reactivate.post",

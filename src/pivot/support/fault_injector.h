@@ -122,9 +122,12 @@ class FaultInjector {
   int any_countdown_ = 0;                          // 0 = off
   double probability_ = 0.0;
   Rng rng_;
-  std::uint64_t crossings_ = 0;
-  std::uint64_t faults_fired_ = 0;
-  std::uint64_t transient_injected_ = 0;
+  // Written under mu_ but read without it (the undo engine samples
+  // crossings() around every undo, the server reports the transient count
+  // in its stats), so atomic.
+  std::atomic<std::uint64_t> crossings_{0};
+  std::atomic<std::uint64_t> faults_fired_{0};
+  std::atomic<std::uint64_t> transient_injected_{0};
   std::vector<std::string> observed_;
 };
 

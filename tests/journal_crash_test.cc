@@ -204,14 +204,12 @@ bool CrashRecoverCheck(const std::string& point, int countdown) {
   return CrashRecoverCheck(point, countdown, opts, /*no_hybrid=*/false);
 }
 
-// The compaction sweep's options: every full snapshot (cadence 2, so the
-// schedule compacts twice) rewrites the journal in place.
+// The compaction sweep's options: every snapshot (@3, @6, @9) rewrites the
+// journal in place.
 PersistOptions CompactingOpts() {
   PersistOptions opts;
   opts.snapshot_interval = 3;
-  opts.delta_snapshots = true;
-  opts.full_snapshot_every = 2;  // full@3 (compact), delta@6, full@9 (compact)
-  opts.compact = true;           // compact_min_bytes = 0: always rewrite
+  opts.compact = true;
   return opts;
 }
 
@@ -250,7 +248,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // The automatic-compaction sweep: the same schedule with in-place journal
-// rewrites after every full snapshot. A crash at any compaction point must
+// rewrites after every snapshot. A crash at any compaction point must
 // leave either the complete old journal or the complete new one (the
 // rename is the only commit point), and recovery must land on the exact
 // durable prefix either way. The compaction fires post-ack with the txn
@@ -277,7 +275,7 @@ TEST_P(CompactAutoCrashSweep, EveryCrossingLeavesOldOrNewNeverHybrid) {
                           << " was never crossed by the schedule";
 }
 
-// Automatic compaction anchors on a just-written full snapshot, which is
+// Automatic compaction anchors on a just-written snapshot, which is
 // always the last frame — so the rewrite never copies txn frames and the
 // persist.compact.txn.* points cannot fire here. They are swept by the
 // explicit-Compact test below, whose anchor has a tail behind it.
@@ -302,10 +300,10 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // Crashes an explicit DurableJournal::Compact at crossing `countdown` of
-// `point`. The journal holds a delta chain AND txn frames behind the full-
-// snapshot anchor (snapshots full@3/delta@6/delta@9 + txns 10-11), so the
-// rewrite copies and rebases frames of every kind. Whatever the crash
-// point, the file must scan clean and recover the full schedule.
+// `point`. The journal holds txn frames behind the snapshot anchor
+// (snapshots @3/@6/@9 + txns 10-11), so the rewrite copies and rebases
+// frames of every kind. Whatever the crash point, the file must scan clean
+// and recover the full schedule.
 bool ExplicitCompactCrashCheck(const std::string& point, int countdown) {
   const std::string label = point + " #" + std::to_string(countdown);
   std::string tag = point;
@@ -318,9 +316,7 @@ bool ExplicitCompactCrashCheck(const std::string& point, int countdown) {
   Session s(Parse(kSource));
   {
     PersistOptions opts;
-    opts.snapshot_interval = 3;
-    opts.delta_snapshots = true;
-    opts.full_snapshot_every = 3;  // full@3, delta@6, delta@9: anchor is @3
+    opts.snapshot_interval = 3;  // snapshots @3, @6, @9: the anchor is @9
     auto wal = DurableJournal::Create(s, path, opts);
     for (const Step& step : schedule) {
       step(s);

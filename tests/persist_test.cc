@@ -341,59 +341,6 @@ TEST(SnapshotImage, RejectsCorruptImages) {
   EXPECT_THROW(DecodeSessionImage("nonsense"), ProgramError);
 }
 
-// --- snapshot image deltas ---
-
-// Deterministic text with enough repeated structure that block matching
-// has something to find, like a real session image.
-std::string PatternBlob(std::size_t n, std::uint32_t seed) {
-  std::string s;
-  s.reserve(n + 32);
-  std::uint32_t x = seed;
-  while (s.size() < n) {
-    x = x * 1664525u + 1013904223u;
-    s += "stmt " + std::to_string(x % 97) + " = " + std::to_string(x % 1009) +
-         "\n";
-  }
-  s.resize(n);
-  return s;
-}
-
-TEST(ImageDelta, RoundTripsRepresentativePairs) {
-  const std::string base = PatternBlob(8192, 7);
-  std::string shifted = base;
-  shifted.insert(100, "an inserted line\n");  // shifts all block alignment
-  shifted.erase(4000, 37);
-  const std::vector<std::pair<std::string, std::string>> pairs = {
-      {base, base},                        // identical
-      {base, shifted},                     // small edits, shifted blocks
-      {"", base},                          // empty base: all literals
-      {base, ""},                          // empty target
-      {base, PatternBlob(8192, 8)},        // unrelated content
-      {base, base + PatternBlob(512, 9)},  // append-only growth
-      {"short", "short but longer now"},   // below one block
-  };
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    const std::string delta =
-        EncodeImageDelta(pairs[i].first, pairs[i].second);
-    EXPECT_EQ(ApplyImageDelta(pairs[i].first, delta), pairs[i].second)
-        << "pair " << i;
-  }
-  // A near-identical target encodes as mostly copy tokens: the whole point
-  // of delta snapshots is that this is far smaller than the image.
-  EXPECT_LT(EncodeImageDelta(base, shifted).size(), shifted.size() / 4);
-}
-
-TEST(ImageDelta, RejectsTheWrongBaseAndGarbage) {
-  const std::string base = PatternBlob(4096, 3);
-  const std::string delta = EncodeImageDelta(base, PatternBlob(4096, 4));
-  // Applying against anything but the base the delta was computed from
-  // must fail loudly (CRC check), never produce a silently wrong image.
-  EXPECT_THROW(ApplyImageDelta(PatternBlob(4096, 5), delta), ProgramError);
-  EXPECT_THROW(ApplyImageDelta(base, "not a delta"), ProgramError);
-  EXPECT_THROW(ApplyImageDelta(base, delta.substr(0, delta.size() / 2)),
-               ProgramError);
-}
-
 // --- end-to-end: create, commit, recover ---
 
 class Durable : public ::testing::Test {
@@ -603,104 +550,108 @@ TEST_F(Durable, AWriteFaultRollsBackAndPoisonsTheJournal) {
   EXPECT_EQ(r.session->HistoryToString(), committed_history);
 }
 
-// --- delta snapshots ---
+// A permanent (non-injected) write fault: the retry budget is exhausted on
+// the txn frame's first write(2). Per the failure policy the operation
+// fails with JournalWriteError and rolls back, and the journal is poisoned
+// — every later commit is refused until the file is recovered, which
+// yields the acknowledged prefix.
+TEST_F(Durable, APermanentWriteFaultPoisonsTheJournal) {
+  const std::string path = TmpPath("permanent_fault");
+  Session s(Parse(kSource));
+  auto wal = DurableJournal::Create(s, path);
+  ASSERT_TRUE(s.ApplyFirst(TransformKind::kCfo).has_value());
+  const std::string committed_source = s.Source();
+  const std::string committed_history = s.HistoryToString();
 
-TEST_F(Durable, DeltaSnapshotsRecoverAcrossTheChain) {
-  const std::string path = TmpPath("delta_chain");
+  FaultInjector::Instance().ArmTransient("wal.write.transient",
+                                         kMaxIoAttempts + 1);
+  EXPECT_THROW(s.ApplyFirst(TransformKind::kCtp), JournalWriteError);
+  FaultInjector::Instance().Reset();
+  EXPECT_EQ(s.Source(), committed_source);
+  EXPECT_EQ(s.HistoryToString(), committed_history);
+  EXPECT_TRUE(wal->broken());
+  EXPECT_THROW(s.ApplyFirst(TransformKind::kCtp), JournalWriteError);
+  EXPECT_EQ(s.Source(), committed_source);
+  EXPECT_EQ(wal->txns_written(), 1u);
+  wal.reset();
+
+  RecoverResult r = Session::Recover(path);
+  EXPECT_EQ(r.report.txns_replayed, 1u);
+  EXPECT_TRUE(r.report.validator_ok);
+  EXPECT_EQ(r.session->Source(), committed_source);
+  EXPECT_EQ(r.session->HistoryToString(), committed_history);
+}
+
+// Older builds could write delta-encoded snapshots (frame type 5). A
+// journal holding one still scans clean — its tail is not cut — while
+// recovery rebuilds from the full snapshot before it and compaction
+// drops it.
+TEST_F(Durable, ARetiredDeltaFrameIsScannedButSkipped) {
+  const std::string path = TmpPath("retired_delta");
   Session s(Parse(kSource));
   PersistOptions opts;
-  opts.snapshot_interval = 1;  // snapshot after every commit
-  opts.delta_snapshots = true;
-  opts.full_snapshot_every = 8;  // the whole workload stays one chain
+  opts.snapshot_interval = 3;
+  {
+    auto wal = DurableJournal::Create(s, path, opts);
+    RunWorkload(s);  // genesis, 3 txns, snapshot (covering 3), 1 txn
+  }
+  {
+    WalWriter w = WalWriter::Append(path);
+    w.AppendFrame(static_cast<FrameType>(5),
+                  EncodeSnapshotBody(4, "delta 0 0 0"), true,
+                  "persist.snapshot");
+  }
+  const WalScanResult scan = ScanWal(path);
+  EXPECT_EQ(scan.version, 3u);
+  EXPECT_EQ(scan.valid_bytes, scan.file_bytes);
+  ASSERT_EQ(scan.frames.size(), 7u);
+  EXPECT_EQ(scan.frames.back().type, FrameType::kRetiredDelta);
+
+  RecoverResult r = Session::Recover(path);
+  EXPECT_FALSE(r.report.truncated);
+  EXPECT_TRUE(r.report.used_snapshot);
+  EXPECT_EQ(r.report.snapshot_txns, 3u);
+  EXPECT_EQ(r.report.txns_replayed, 1u);
+  EXPECT_TRUE(r.report.errors.empty());
+  ExpectEquivalent(s, *r.session, "recovery past a retired delta frame");
+
+  auto wal = DurableJournal::Reattach(*r.session, path, r.report, opts);
+  wal->Compact();
+  EXPECT_EQ(wal->compactions(), 1u);
+  wal.reset();
+  std::vector<FrameType> types;
+  for (const WalFrame& f : ScanWal(path).frames) types.push_back(f.type);
+  const std::vector<FrameType> expected = {
+      FrameType::kGenesis, FrameType::kSnapshot, FrameType::kTxn};
+  EXPECT_EQ(types, expected);
+}
+
+// A snapshot frame that scans (valid CRC) but does not decode is ignored:
+// recovery falls back to the next older snapshot and replays from there.
+TEST_F(Durable, ACorruptSnapshotFallsBackToAnOlderSnapshot) {
+  const std::string path = TmpPath("snapshot_corrupt");
+  Session s(Parse(kSource));
+  PersistOptions opts;
+  opts.snapshot_interval = 1;
   auto wal = DurableJournal::Create(s, path, opts);
-  RunWorkload(s);  // 4 txns => snapshots: full, delta, delta, delta
+  RunWorkload(s);  // 4 txns, each followed by a snapshot
   EXPECT_EQ(wal->snapshots_written(), 4u);
   wal.reset();
 
-  int fulls = 0, deltas = 0;
-  for (const WalFrame& f : ScanWal(path).frames) {
-    if (f.type == FrameType::kSnapshot) ++fulls;
-    if (f.type == FrameType::kDeltaSnapshot) ++deltas;
-  }
-  EXPECT_EQ(fulls, 1);
-  EXPECT_EQ(deltas, 3);
-
-  // Recovery rebuilds the newest image by applying the chain to the full
-  // base, then replays nothing (the last snapshot covers everything).
-  RecoverResult r = Session::Recover(path);
-  EXPECT_TRUE(r.report.used_snapshot);
-  EXPECT_EQ(r.report.snapshot_txns, 4u);
-  EXPECT_EQ(r.report.snapshot_deltas, 3u);
-  EXPECT_EQ(r.report.txns_replayed, 0u);
-  EXPECT_TRUE(r.report.validator_ok);
-  ExpectEquivalent(s, *r.session, "delta-chain recovery");
-
-  // The recovered session keeps working.
-  ASSERT_TRUE(s.ApplyFirst(TransformKind::kCtp).has_value());
-  ASSERT_TRUE(r.session->ApplyFirst(TransformKind::kCtp).has_value());
-  ExpectEquivalent(s, *r.session, "continued after delta recovery");
-}
-
-TEST_F(Durable, FullSnapshotCadenceBoundsTheChain) {
-  const std::string path = TmpPath("delta_cadence");
-  Session s(Parse(kSource));
-  PersistOptions opts;
-  opts.snapshot_interval = 1;
-  opts.delta_snapshots = true;
-  opts.full_snapshot_every = 3;  // full, delta, delta, full
-  auto wal = DurableJournal::Create(s, path, opts);
-  RunWorkload(s);
-  wal.reset();
-
-  std::vector<FrameType> snapshots;
-  for (const WalFrame& f : ScanWal(path).frames) {
-    if (f.type == FrameType::kSnapshot || f.type == FrameType::kDeltaSnapshot) {
-      snapshots.push_back(f.type);
-    }
-  }
-  const std::vector<FrameType> expected = {
-      FrameType::kSnapshot, FrameType::kDeltaSnapshot,
-      FrameType::kDeltaSnapshot, FrameType::kSnapshot};
-  EXPECT_EQ(snapshots, expected);
-
-  RecoverResult r = Session::Recover(path);
-  EXPECT_EQ(r.report.snapshot_deltas, 0u);  // the last snapshot is full
-  ExpectEquivalent(s, *r.session, "bounded-chain recovery");
-}
-
-TEST_F(Durable, ACorruptDeltaFallsBackToAnOlderSnapshot) {
-  const std::string path = TmpPath("delta_corrupt");
-  Session s(Parse(kSource));
-  PersistOptions opts;
-  opts.snapshot_interval = 1;
-  opts.delta_snapshots = true;
-  opts.full_snapshot_every = 8;
-  auto wal = DurableJournal::Create(s, path, opts);
-  RunWorkload(s);
-  wal.reset();
-
-  // Replace the last delta's payload with garbage that still scans as a
-  // valid frame: recovery must reject it when the delta fails to apply and
-  // fall back to the previous snapshot in the chain plus replay.
   const WalScanResult scan = ScanWal(path);
-  std::size_t last_delta = 0;
-  for (std::size_t i = 0; i < scan.frames.size(); ++i) {
-    if (scan.frames[i].type == FrameType::kDeltaSnapshot) last_delta = i;
-  }
-  ASSERT_GT(last_delta, 0u);
-  RewriteFrame(path, last_delta, FrameType::kDeltaSnapshot,
-               EncodeSnapshotBody(4, "garbage, not a delta"));
+  ASSERT_EQ(scan.frames.back().type, FrameType::kSnapshot);
+  RewriteFrame(path, scan.frames.size() - 1, FrameType::kSnapshot,
+               EncodeSnapshotBody(4, "garbage, not an image"));
 
   RecoverResult r = Session::Recover(path);
   EXPECT_TRUE(r.report.used_snapshot);
-  EXPECT_EQ(r.report.snapshot_txns, 3u);  // the delta before the corrupt one
-  EXPECT_EQ(r.report.snapshot_deltas, 2u);
+  EXPECT_EQ(r.report.snapshot_txns, 3u);  // the snapshot before the bad one
   EXPECT_EQ(r.report.txns_replayed, 1u);
   EXPECT_TRUE(r.report.validator_ok);
   ASSERT_FALSE(r.report.errors.empty());
   EXPECT_NE(r.report.errors[0].find("snapshot frame ignored"),
             std::string::npos);
-  ExpectEquivalent(s, *r.session, "fallback past a corrupt delta");
+  ExpectEquivalent(s, *r.session, "fallback past a corrupt snapshot");
 }
 
 // Regression: a snapshot frame whose `txns <count>` prefix claims to cover
@@ -779,7 +730,7 @@ TEST_F(Durable, CompactionShrinksTheJournalAndStaysRecoverable) {
   const std::string full_path = TmpPath("compact_baseline");
   PersistOptions opts;
   opts.snapshot_interval = 2;
-  opts.compact = true;  // compact_min_bytes = 0: after every full snapshot
+  opts.compact = true;  // after every snapshot
 
   Session s(Parse(kSource));
   auto wal = DurableJournal::Create(s, path, opts);

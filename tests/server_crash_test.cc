@@ -1,7 +1,8 @@
 // The crash-consistency sweep for the multi-session server.
 //
 // Same discipline as tests/journal_crash_test.cc, one level up: a "crash"
-// is an injected fault at one of the server.* points — tearing the
+// is an injected fault at a point of the server's commit path (server.*,
+// and the persist.* points of the session WALs' journals) — tearing the
 // per-session WAL append, between the append and the group-commit enqueue,
 // tearing the shared-log frame, after the group fsync but before the ack,
 // mid-snapshot, mid-reconciliation. For every point, and every countdown
@@ -21,12 +22,14 @@
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "pivot/core/session.h"
 #include "pivot/ir/parser.h"
+#include "pivot/persist/durable.h"
 #include "pivot/persist/wal.h"
 #include "pivot/server/protocol.h"
 #include "pivot/server/server.h"
@@ -60,9 +63,8 @@ ServerOptions Opts(const std::string& dir,
   if (evict) {
     // One resident session max: with the two-session interleaved schedule,
     // nearly every request passivates the other session and reactivates
-    // its own, so the server.evict.* points are crossed continuously.
+    // its own, so the eviction points are crossed continuously.
     o.lifecycle.max_resident = 1;
-    o.lifecycle.compact_on_passivate = true;
   }
   return o;
 }
@@ -256,48 +258,92 @@ bool CrashRecoverCheck(const std::string& point, int countdown,
   return true;
 }
 
-class ServerCrashSweep : public ::testing::TestWithParam<const char*> {
+// One swept crash position: the name its test case carries and the fault
+// points armed there, each at every countdown. A session's WAL is written
+// by persist's DurableJournal, so positions on it arm persist.* points;
+// their cases keep the names of the server-only points they replaced
+// (server.swal.* for the session WAL, server.evict.* for passivation), so
+// each position keeps being reported under one name.
+struct Position {
+  std::string name;
+  std::vector<std::string> points;
+};
+
+// A position whose name is its one point.
+Position At(const std::string& point) {
+  std::string name = point;
+  std::replace(name.begin(), name.end(), '.', '_');
+  return {name, {point}};
+}
+
+std::string PositionName(const ::testing::TestParamInfo<Position>& info) {
+  return info.param.name;
+}
+
+// How gtest (and so ctest's test list) shows a case's parameter: the
+// points it arms.
+void PrintTo(const Position& position, std::ostream* os) {
+  for (std::size_t i = 0; i < position.points.size(); ++i) {
+    *os << (i == 0 ? "" : " ") << '"' << position.points[i] << '"';
+  }
+}
+
+// Sweeps every point of the position with CrashRecoverCheck's options.
+void SweepPosition(const Position& position, std::uint64_t gwal_compact_bytes,
+                   bool evict) {
+  for (const std::string& point : position.points) {
+    int crossings = 0;
+    for (int countdown = 1; countdown < 200; ++countdown) {
+      if (!CrashRecoverCheck(point, countdown, gwal_compact_bytes, evict)) {
+        break;
+      }
+      ++crossings;
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    EXPECT_GT(crossings, 0) << "fault point " << point
+                            << " was never crossed by the schedule";
+  }
+}
+
+class ServerCrashSweep : public ::testing::TestWithParam<Position> {
  protected:
   void SetUp() override { FaultInjector::Instance().Reset(); }
   void TearDown() override { FaultInjector::Instance().Reset(); }
 };
 
 TEST_P(ServerCrashSweep, EveryCrossingRecoversTheAckedPrefix) {
-  const std::string point = GetParam();
-  int crossings = 0;
-  for (int countdown = 1; countdown < 200; ++countdown) {
-    if (!CrashRecoverCheck(point, countdown)) break;
-    ++crossings;
-    if (HasFatalFailure()) return;
-  }
-  EXPECT_GT(crossings, 0) << "fault point " << point
-                          << " was never crossed by the schedule";
+  SweepPosition(GetParam(), /*gwal_compact_bytes=*/0, /*evict=*/false);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     ServerPoints, ServerCrashSweep,
     ::testing::Values(
         // Tearing the per-session WAL append (before the group enqueue).
-        "server.swal.genesis.header.post", "server.swal.genesis.mid",
-        "server.swal.genesis.post", "server.swal.txn.header.post",
-        "server.swal.txn.mid", "server.swal.txn.post",
+        Position{"server_swal_genesis_header_post",
+                 {"persist.genesis.header.post"}},
+        Position{"server_swal_genesis_mid", {"persist.genesis.mid"}},
+        Position{"server_swal_genesis_post", {"persist.genesis.post"}},
+        Position{"server_swal_txn_header_post", {"persist.txn.header.post"}},
+        Position{"server_swal_txn_mid", {"persist.txn.mid"}},
+        Position{"server_swal_txn_post", {"persist.txn.post"}},
+        // Before the session append: the genesis and txn frame encodes.
+        At("persist.genesis.pre"), At("persist.txn.pre"),
         // Between the session append and the group commit.
-        "server.commit.enqueue.pre",
+        At("server.commit.enqueue.pre"),
         // Inside the group-commit worker: batch start, torn shared-log
         // frame, after the group fsync, before the ack.
-        "server.batch.pre", "server.gwal.frame.header.post",
-        "server.gwal.frame.mid", "server.gwal.frame.post",
-        "server.gwal.sync.post", "server.ack.pre",
+        At("server.batch.pre"), At("server.gwal.frame.header.post"),
+        At("server.gwal.frame.mid"), At("server.gwal.frame.post"),
+        At("server.gwal.sync.post"), At("server.ack.pre"),
+        // Acked, before the post-commit snapshot decision.
+        At("persist.commit.ack.pre"),
         // Post-ack snapshot frames on the session WAL.
-        "server.swal.snapshot.header.post", "server.swal.snapshot.mid",
-        "server.swal.snapshot.post"),
-    [](const ::testing::TestParamInfo<const char*>& info) {
-      std::string name = info.param;
-      for (char& c : name) {
-        if (c == '.') c = '_';
-      }
-      return name;
-    });
+        At("persist.snapshot.pre"),
+        Position{"server_swal_snapshot_header_post",
+                 {"persist.snapshot.header.post"}},
+        Position{"server_swal_snapshot_mid", {"persist.snapshot.mid"}},
+        Position{"server_swal_snapshot_post", {"persist.snapshot.post"}}),
+    PositionName);
 
 // The gwal retention sweep: with the auto-compaction threshold at one
 // byte, every request past the first triggers a retention pass, so the
@@ -353,52 +399,51 @@ INSTANTIATE_TEST_SUITE_P(
 // journal's: a crash must never lose a commit whose group-log envelope was
 // dropped on the strength of a stub. The oracle is the same acked /
 // acked+1 contract as the main sweep.
-class EvictionCrashSweep : public ::testing::TestWithParam<const char*> {
+class EvictionCrashSweep : public ::testing::TestWithParam<Position> {
  protected:
   void SetUp() override { FaultInjector::Instance().Reset(); }
   void TearDown() override { FaultInjector::Instance().Reset(); }
 };
 
 TEST_P(EvictionCrashSweep, EveryCrossingKeepsEveryAckedCommit) {
-  const std::string point = GetParam();
-  int crossings = 0;
-  for (int countdown = 1; countdown < 200; ++countdown) {
-    if (!CrashRecoverCheck(point, countdown, /*gwal_compact_bytes=*/1,
-                           /*evict=*/true)) {
-      break;
-    }
-    ++crossings;
-    if (HasFatalFailure()) return;
-  }
-  EXPECT_GT(crossings, 0) << "fault point " << point
-                          << " was never crossed by the schedule";
+  SweepPosition(GetParam(), /*gwal_compact_bytes=*/1, /*evict=*/true);
 }
 
+// The passivation snapshot crosses persist.snapshot.* like the interval
+// snapshots (which this schedule also writes, so those positions are
+// swept too); only the passivation one is fsynced. The WAL rewrite after
+// release crosses persist.compact.*: it copies the genesis and the final
+// snapshot, which is always the last frame, so no txn frame is copied.
 INSTANTIATE_TEST_SUITE_P(
     EvictionPoints, EvictionCrashSweep,
-    ::testing::Values("server.evict.pre",
-                      "server.evict.snapshot.header.post",
-                      "server.evict.snapshot.mid",
-                      "server.evict.snapshot.post",
-                      "server.evict.snapshot.fsync.post",
-                      "server.evict.release.pre",
-                      "server.evict.compact.pre",
-                      "server.evict.compact.frame.header.post",
-                      "server.evict.compact.frame.mid",
-                      "server.evict.compact.frame.post",
-                      "server.evict.compact.tmp.synced",
-                      "server.evict.compact.rename.pre",
-                      "server.evict.compact.rename.post",
-                      "server.evict.stub.post",
-                      "server.evict.reactivate.pre",
-                      "server.evict.reactivate.post"),
-    [](const ::testing::TestParamInfo<const char*>& info) {
-      std::string name = info.param;
-      for (char& c : name) {
-        if (c == '.') c = '_';
-      }
-      return name;
-    });
+    ::testing::Values(
+        At("server.evict.pre"),
+        Position{"server_evict_snapshot_header_post",
+                 {"persist.snapshot.header.post"}},
+        Position{"server_evict_snapshot_mid", {"persist.snapshot.mid"}},
+        Position{"server_evict_snapshot_post", {"persist.snapshot.post"}},
+        Position{"server_evict_snapshot_fsync_post",
+                 {"persist.snapshot.fsync.post"}},
+        At("server.evict.release.pre"),
+        Position{"server_evict_compact_pre", {"persist.compact.pre"}},
+        Position{"server_evict_compact_frame_header_post",
+                 {"persist.compact.genesis.header.post",
+                  "persist.compact.snapshot.header.post"}},
+        Position{"server_evict_compact_frame_mid",
+                 {"persist.compact.genesis.mid",
+                  "persist.compact.snapshot.mid"}},
+        Position{"server_evict_compact_frame_post",
+                 {"persist.compact.genesis.post",
+                  "persist.compact.snapshot.post"}},
+        Position{"server_evict_compact_tmp_synced",
+                 {"persist.compact.tmp.synced"}},
+        Position{"server_evict_compact_rename_pre",
+                 {"persist.compact.rename.pre"}},
+        Position{"server_evict_compact_rename_post",
+                 {"persist.compact.rename.post"}},
+        At("server.evict.stub.post"), At("server.evict.reactivate.pre"),
+        At("server.evict.reactivate.post")),
+    PositionName);
 
 class ServerCrash : public ::testing::Test {
  protected:
@@ -498,6 +543,92 @@ TEST_F(ServerCrash, UnackedFrameIsDroppedAndNeverMisalignsReconciliation) {
   if (::testing::Test::HasFatalFailure()) return;
   EXPECT_EQ(server.Execute(source_req).text, ref->Source());
   EXPECT_EQ(server.Execute(history_req).text, ref->HistoryToString());
+}
+
+// The fault-point registry, checked from the crossing side: observe one
+// server schedule that touches every stage of a session's durable life —
+// open, commits across a snapshot, passivation with the WAL rewrite,
+// reactivation, a gwal retention pass, restart with a lost session-file
+// tail, reconcile + recover — plus the standalone journal paths the server
+// never takes (per-frame fsync, compaction with a tail, recovery of a torn
+// tail). Every point crossed must be registered, and every registered
+// server.* / persist.* point must be crossed: a point no schedule reaches
+// is dead and goes from the registry.
+TEST_F(ServerCrash, EveryRegisteredServerAndPersistPointIsCrossed) {
+  const std::string dir = FreshDir("observe");
+  FaultInjector& injector = FaultInjector::Instance();
+  injector.StartObserving();
+  std::string swal;
+  {
+    ServerOptions o = Opts(dir);
+    o.lifecycle.max_resident = 1;
+    PivotServer server(o);
+    swal = server.SessionWalPath(SessionName(0));
+    ASSERT_EQ(server.Execute(RequestFor(0, "open")).status, StatusCode::kOk);
+    for (const char* step : {"apply", "apply", "undolast"}) {
+      ASSERT_EQ(server.Execute(RequestFor(0, step)).status, StatusCode::kOk);
+    }
+    // Opening s1 passivates s0 (snapshot, release, WAL rewrite); the next
+    // s0 request reactivates it and passivates s1.
+    ASSERT_EQ(server.Execute(RequestFor(1, "open")).status, StatusCode::kOk);
+    ASSERT_EQ(server.Execute(RequestFor(0, "apply")).status, StatusCode::kOk);
+    Request compact;
+    compact.op = ServerOp::kCompact;
+    ASSERT_EQ(server.Execute(compact).status, StatusCode::kOk);
+    ASSERT_EQ(server.Execute(RequestFor(0, "undolast")).status,
+              StatusCode::kOk);
+    server.Drain();
+  }
+  // The restart lost the unsynced session-file tail from inside the last
+  // txn frame: the reconciliation cuts it and re-appends the acked frame
+  // from the group log.
+  std::uint64_t last_txn_end = 0;
+  for (const WalFrame& frame : ScanWal(swal).frames) {
+    if (frame.type == FrameType::kTxn) last_txn_end = frame.end_offset;
+  }
+  ASSERT_GT(last_txn_end, 3u);
+  std::filesystem::resize_file(swal, last_txn_end - 3);
+  {
+    PivotServer server(Opts(dir));
+    Request recover;
+    recover.op = ServerOp::kRecover;
+    recover.session = SessionName(0);
+    const Response rec = server.Execute(recover);
+    ASSERT_EQ(rec.status, StatusCode::kOk) << rec.error;
+    EXPECT_EQ(server.Execute(RequestFor(0, "apply")).status, StatusCode::kOk);
+  }
+
+  // A standalone journal: every frame fsynced, a compaction that copies a
+  // txn behind its snapshot, and recovery of a torn tail.
+  const std::string path = dir + "/standalone.wal";
+  {
+    Session s(Parse(kSource));
+    PersistOptions opts;
+    opts.snapshot_interval = 2;
+    auto wal = DurableJournal::Create(s, path, opts);
+    for (const char* step : {"apply", "apply", "undolast"}) {
+      ReplayStep(s, step);
+    }
+    wal->Compact();
+  }
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 3);
+  EXPECT_TRUE(Session::Recover(path).report.truncated);
+  injector.StopObserving();
+
+  const std::vector<std::string>& known = FaultInjector::KnownPoints();
+  const std::vector<std::string>& observed = injector.observed_points();
+  for (const std::string& point : observed) {
+    EXPECT_NE(std::find(known.begin(), known.end(), point), known.end())
+        << "unregistered fault point crossed: " << point;
+  }
+  for (const std::string& point : known) {
+    if (point.rfind("server.", 0) != 0 && point.rfind("persist.", 0) != 0) {
+      continue;
+    }
+    EXPECT_NE(std::find(observed.begin(), observed.end(), point),
+              observed.end())
+        << "registered fault point no schedule crosses: " << point;
+  }
 }
 
 // The probabilistic soak ci/run_server_soak.sh drives: several sessions

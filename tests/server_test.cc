@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <latch>
 #include <memory>
 #include <string>
 #include <thread>
@@ -285,14 +286,17 @@ TEST_F(ServerTest, GroupCommitBatchesConcurrentCommitters) {
   }
 
   // Slow the first group fsync with absorbed transient faults so the other
-  // committers pile into the queue — deterministic pressure, no timing
-  // luck needed for max_batch to exceed 1.
+  // committers pile into the queue, and release them all at once so a slow
+  // thread start (sanitizer builds, a loaded host) cannot spread them past
+  // that window.
   FaultInjector::Instance().ArmTransient("wal.fsync.transient",
                                          kMaxIoAttempts - 1);
   std::atomic<int> ok{0};
+  std::latch start(kSessions);
   std::vector<std::thread> threads;
   for (int i = 0; i < kSessions; ++i) {
-    threads.emplace_back([&server, &ok, i] {
+    threads.emplace_back([&server, &ok, &start, i] {
+      start.arrive_and_wait();
       const Response r =
           server.Execute(ApplyReq("s" + std::to_string(i),
                                   TransformKind::kCfo));
@@ -1057,7 +1061,7 @@ TEST_F(ServerTest, PassivationCompactsTheWalAndRecoveryStillReconciles) {
   const std::string dir = FreshDir("evict_compact");
   Session reference{Parse(kSource)};
   {
-    PivotServer server(EvictOpts(dir, 1));  // compact_on_passivate default
+    PivotServer server(EvictOpts(dir, 1));  // passivation always compacts
 
     Request open = Req(ServerOp::kOpen, "s1");
     open.source = kSource;
@@ -1185,6 +1189,97 @@ TEST_F(ServerTest, TheIdleReaperPassivatesAndDrainRacesItSafely) {
     EXPECT_EQ(recovered.Execute(Req(ServerOp::kSource, name)).text,
               reference.Source());
   }
+}
+
+// A session WAL's trailing snapshot that scans but does not decode is
+// ignored by recovery; the reattached journal must resume the snapshot
+// cadence from what recovery replayed, so the next commit re-snapshots
+// instead of waiting out a fresh interval behind an unusable one.
+TEST_F(ServerTest, ReattachOverACorruptTrailingSnapshotKeepsTheCadence) {
+  const std::string dir = FreshDir("reattach_corrupt_snapshot");
+  ServerOptions opts = Opts(dir);
+  opts.snapshot_interval = 3;
+  Session reference{Parse(kSource)};
+  std::string wal;
+  {
+    PivotServer server(opts);
+    wal = server.SessionWalPath("s1");
+    Request open = Req(ServerOp::kOpen, "s1");
+    open.source = kSource;
+    ASSERT_EQ(server.Execute(open).status, StatusCode::kOk);
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_EQ(server.Execute(ApplyReq("s1", TransformKind::kCfo)).status,
+                StatusCode::kOk);
+      ASSERT_TRUE(reference.ApplyFirst(TransformKind::kCfo).has_value());
+    }
+    ASSERT_EQ(server.Execute(Req(ServerOp::kUndoLast, "s1")).status,
+              StatusCode::kOk);
+    reference.UndoLast();
+    server.Drain();
+  }
+  // Replace the snapshot after txn 3 with a well-formed frame whose image
+  // is garbage.
+  const WalScanResult scan = ScanWal(wal);
+  ASSERT_EQ(scan.frames.back().type, FrameType::kSnapshot);
+  TruncateWal(wal, scan.frames[scan.frames.size() - 2].end_offset);
+  WalWriter::Append(wal).AppendFrame(FrameType::kSnapshot,
+                                     EncodeSnapshotBody(3, "not an image"),
+                                     /*fsync=*/true, "persist.snapshot");
+
+  {
+    PivotServer server(opts);
+    const Response recovered = server.Execute(Req(ServerOp::kRecover, "s1"));
+    ASSERT_EQ(recovered.status, StatusCode::kOk) << recovered.error;
+    EXPECT_EQ(recovered.value, 3u);  // replayed from genesis
+    ASSERT_EQ(server.Execute(ApplyReq("s1", TransformKind::kCfo)).status,
+              StatusCode::kOk);
+    ASSERT_TRUE(reference.ApplyFirst(TransformKind::kCfo).has_value());
+  }
+  const WalScanResult after = ScanWal(wal);
+  ASSERT_EQ(after.frames.back().type, FrameType::kSnapshot);
+  EXPECT_EQ(DecodeSnapshotBody(after.frames.back().body).txns, 4u);
+  const RecoverResult r = RecoverSession(wal);
+  EXPECT_TRUE(r.report.used_snapshot);
+  EXPECT_EQ(r.report.snapshot_txns, 4u);
+  EXPECT_EQ(r.session->Source(), reference.Source());
+}
+
+// A passivated session whose WAL now carries a newer format version is
+// refused on reactivation instead of being appended to; the stub survives
+// and reactivates once the file is readable again.
+TEST_F(ServerTest, ReactivationRefusesANewerFormatVersion) {
+  const std::string dir = FreshDir("evict_newer_version");
+  PivotServer server(EvictOpts(dir, 1));
+  Request open = Req(ServerOp::kOpen, "s1");
+  open.source = kSource;
+  ASSERT_EQ(server.Execute(open).status, StatusCode::kOk);
+  Request open2 = Req(ServerOp::kOpen, "s2");
+  open2.source = kSource;
+  ASSERT_EQ(server.Execute(open2).status, StatusCode::kOk);
+  ASSERT_EQ(server.stats().passivations, 1u);  // s1 is on disk
+
+  const std::string wal = server.SessionWalPath("s1");
+  const auto set_version = [&wal](std::uint32_t version) {
+    std::FILE* f = std::fopen(wal.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    unsigned char bytes[4];
+    for (int i = 0; i < 4; ++i) {
+      bytes[i] = static_cast<unsigned char>(version >> (8 * i));
+    }
+    std::fseek(f, sizeof kWalMagic, SEEK_SET);
+    std::fwrite(bytes, 1, 4, f);
+    std::fclose(f);
+  };
+  set_version(kJournalFormatVersion + 1);
+  const Response refused = server.Execute(Req(ServerOp::kSource, "s1"));
+  EXPECT_EQ(refused.status, StatusCode::kPrecondition);
+  EXPECT_NE(refused.error.find("newer"), std::string::npos) << refused.error;
+  EXPECT_EQ(ScanWal(wal).version, kJournalFormatVersion + 1);  // untouched
+
+  set_version(kJournalFormatVersion);
+  const Response retried = server.Execute(Req(ServerOp::kSource, "s1"));
+  ASSERT_EQ(retried.status, StatusCode::kOk) << retried.error;
+  EXPECT_EQ(retried.text, Session{Parse(kSource)}.Source());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <functional>
 #include <set>
+#include <thread>
 #include <unordered_set>
 
 #include "pivot/support/bitset.h"
@@ -275,13 +277,28 @@ TEST(WorkerPool, FailureIsFailFast) {
 }
 
 TEST(WorkerPool, RunAllIsFailFast) {
+  // Task 0 throws; every other task first waits until that throw has
+  // started, then takes a millisecond. A fail-fast pool stops claiming as
+  // soon as the exception reaches its handler, so only the few tasks
+  // claimed during the unwind run; a pool that ignored the failure would
+  // run all of them. The wait keeps the others from racing ahead of a
+  // thrower that is slow to be scheduled, and the millisecond bounds how
+  // many they can claim while it unwinds by wall time, not CPU speed:
+  // passing n/2 would take the thrower ~0.7 s to reach its handler.
   std::vector<std::function<void()>> tasks;
   std::atomic<int> executed{0};
-  const int n = 100000;
+  std::atomic<bool> thrown{false};
+  const int n = 4000;
   for (int i = 0; i < n; ++i) {
-    tasks.push_back([&executed, i] {
+    tasks.push_back([&executed, &thrown, i] {
       ++executed;
-      if (i == 0) throw ProgramError("early");
+      if (i == 0) {
+        thrown.store(true);
+        thrown.notify_all();
+        throw ProgramError("early");
+      }
+      thrown.wait(false);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
     });
   }
   EXPECT_THROW(WorkerPool::RunAll(std::move(tasks), 4), ProgramError);

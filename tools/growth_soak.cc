@@ -10,8 +10,8 @@
 // twice, with the growth fix off and on, and gates on the ratio:
 //
 //   * Session phase: PIVOT_GROWTH_OPS (default 10000) alternating
-//     apply/undo commits against one DurableJournal with snapshots +
-//     delta snapshots, compaction off vs on. The compacted journal's
+//     apply/undo commits against one DurableJournal with snapshots,
+//     compaction off vs on. The compacted journal's
 //     PEAK must be >= 4x smaller than the uncompacted FINAL, and the
 //     compacted journal must recover to the same source.
 //
@@ -83,11 +83,10 @@ SessionRun RunSessionWorkload(const std::string& path, int ops,
   Session s(Parse(kSource));
   PersistOptions opts;
   opts.snapshot_interval = 64;
-  opts.delta_snapshots = true;
-  opts.full_snapshot_every = 4;
   opts.compact = compact;
-  opts.fsync = false;  // growth bounds, not fsync cost, are under test
-  auto wal = DurableJournal::Create(s, path, opts);
+  // A no-op ack: growth bounds, not fsync cost, are under test.
+  auto wal = DurableJournal::Create(s, path, opts,
+                                    [](FrameType, const std::string&) {});
   for (int op = 0; op < ops; ++op) {
     if (!Step(s, op)) {
       std::fprintf(stderr, "session phase: no fold site at op %d\n", op);
