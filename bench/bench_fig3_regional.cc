@@ -8,14 +8,11 @@
 // dependence recomputation as the loops grow.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <iostream>
-#include <sstream>
 
 #include "pivot/core/session.h"
 #include "pivot/ir/builder.h"
 #include "pivot/support/benchjson.h"
-#include "pivot/support/table.h"
 
 namespace pivot {
 namespace {
@@ -41,7 +38,7 @@ Program MakeAdjacentLoops(int body) {
   return b.Build();
 }
 
-void PrintFigure3() {
+void PrintFigure3(BenchJson& json) {
   Program p = MakeAdjacentLoops(2);
   AnalysisCache cache(p);
   const Stmt& l1 = *p.top()[0];
@@ -61,69 +58,17 @@ void PrintFigure3() {
   const auto crossing =
       cache.summaries().Between(l1, l2, /*either_direction=*/false,
                                 &inspected);
+  const bool prevented = FusionPrevented(p, cache.loops(), l1, l2);
   std::cout << "fusion query via summaries: inspected " << inspected
             << " summarized dependence(s), found " << crossing.size()
             << " crossing (d2)\n";
-  std::cout << "fusion prevented? "
-            << (FusionPrevented(p, cache.loops(), l1, l2) ? "yes" : "no")
-            << "\n\n";
-}
-
-// Edit/re-analyze loop: repeatedly replace one RHS expression inside the
-// first loop (a pure expression-level change, the paper's §4.4 after-undo
-// situation), then re-query the summary and data-flow layers. The baseline
-// cache drops every family on each edit; the incremental cache retains the
-// structural families and refreshes block-local facts for the one dirty
-// statement.
-void PrintIncrementalInvalidation(BenchJson& json) {
-  constexpr int kEdits = 50;
-  TextTable table({"mode", "family rebuilds", "facts nodes refreshed",
-                   "dag blocks reused", "wall ms"});
-  for (int mode = 0; mode < 2; ++mode) {
-    const bool incremental = mode == 1;
-    Program p = MakeAdjacentLoops(32);
-    AnalysisOptions opts;
-    opts.incremental = incremental;
-    AnalysisCache cache(p, opts);
-    cache.PrimeAll();
-    Stmt& victim = *p.top()[0]->body[0];
-    std::vector<ExprPtr> retired;  // replaced subtrees, kept registered
-
-    const std::uint64_t rebuilds_before = cache.rebuild_count();
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int edit = 0; edit < kEdits; ++edit) {
-      using namespace dsl;  // NOLINT
-      retired.push_back(p.ReplaceSlotExpr(victim, ExprSlot::kRhs,
-                                          Add(V("i"), I(edit))));
-      // Re-derive what the fusion query and the data-flow layer need.
-      benchmark::DoNotOptimize(cache.summaries().TotalSummarized());
-      benchmark::DoNotOptimize(cache.reaching().defs().size());
-      benchmark::DoNotOptimize(cache.block_dags().blocks.size());
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    const std::uint64_t rebuilds = cache.rebuild_count() - rebuilds_before;
-    const double ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-
-    std::ostringstream ms_str;
-    ms_str.precision(3);
-    ms_str << std::fixed << ms;
-    table.AddRow({incremental ? "incremental" : "baseline",
-                  std::to_string(rebuilds),
-                  std::to_string(cache.facts_nodes_refreshed()),
-                  std::to_string(cache.dag_blocks_reused()), ms_str.str()});
-    json.Row()
-        .Str("experiment", "incremental_invalidation")
-        .Str("mode", incremental ? "incremental" : "baseline")
-        .Int("edits", kEdits)
-        .Int("family_rebuilds", rebuilds)
-        .Int("facts_nodes_refreshed", cache.facts_nodes_refreshed())
-        .Int("dag_blocks_reused", cache.dag_blocks_reused())
-        .Num("wall_ms", ms);
-  }
-  std::cout << "== incremental invalidation: " << kEdits
-            << " expression edits + re-queries (body=32) ==\n"
-            << table.Render() << '\n';
+  std::cout << "fusion prevented? " << (prevented ? "yes" : "no") << "\n\n";
+  json.Row()
+      .Str("experiment", "fusion_query")
+      .Int("lcr", static_cast<std::uint64_t>(lcr))
+      .Int("inspected", inspected)
+      .Int("crossing", crossing.size())
+      .Int("fusion_prevented", prevented ? 1 : 0);
 }
 
 // Query cost: summaries (built once, queried often) vs. recomputing the
@@ -175,9 +120,8 @@ BENCHMARK(BM_SummaryConstruction)->Arg(2)->Arg(8)->Arg(32)->Arg(128);
 }  // namespace pivot
 
 int main(int argc, char** argv) {
-  pivot::PrintFigure3();
   pivot::BenchJson json("fig3_regional");
-  pivot::PrintIncrementalInvalidation(json);
+  pivot::PrintFigure3(json);
   const std::string path = json.WriteFile();
   if (!path.empty()) std::cout << "wrote " << path << '\n';
   if (pivot::BenchSmokeMode()) return 0;

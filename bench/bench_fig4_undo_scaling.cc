@@ -155,71 +155,6 @@ void PrintScalingTable(BenchJson& json) {
             << table.Render() << '\n';
 }
 
-// A/B: the same workload (apply 3K transformations, undo the first CTP)
-// with the analysis cache's region-scoped incremental invalidation off
-// (baseline: every epoch drops every family) vs on (expression-only
-// windows — every CTP/CFO Modify — retain the structural families).
-// Reports session-wide family rebuild counts and workload wall-clock,
-// averaged over repeats. The undo itself re-inserts a DCE-deleted
-// statement (structural), so the savings concentrate in the many
-// expression-only epochs around it.
-void PrintIncrementalTable(BenchJson& json) {
-  const int kRepeats = BenchSmokeMode() ? 2 : 10;
-  TextTable table({"clusters", "baseline: rebuilds", "incremental: rebuilds",
-                   "baseline: ms", "incremental: ms", "families retained",
-                   "facts nodes refreshed"});
-  for (int clusters : ClusterSweep()) {
-    const std::string src = ClusterSource(clusters);
-    std::uint64_t rebuilds[2] = {0, 0};
-    std::uint64_t retained = 0, facts_refreshed = 0;
-    double ms[2] = {0, 0};
-    for (int mode = 0; mode < 2; ++mode) {
-      const bool incremental = mode == 1;
-      for (int rep = 0; rep < kRepeats; ++rep) {
-        SessionOptions options;
-        options.analysis.incremental = incremental;
-        Session s(Parse(src), options);
-        const auto t0 = std::chrono::steady_clock::now();
-        const Applied applied = ApplyChains(s, clusters);
-        const UndoStats stats = s.Undo(applied.ctps[0]);
-        const auto t1 = std::chrono::steady_clock::now();
-        benchmark::DoNotOptimize(stats.transforms_undone);
-        rebuilds[mode] += s.analyses().rebuild_count();
-        ms[mode] +=
-            std::chrono::duration<double, std::milli>(t1 - t0).count();
-        if (incremental) {
-          retained += s.analyses().families_retained();
-          facts_refreshed += s.analyses().facts_nodes_refreshed();
-        }
-      }
-      rebuilds[mode] /= kRepeats;
-    }
-    retained /= kRepeats;
-    facts_refreshed /= kRepeats;
-    const auto fmt_ms = [kRepeats](double total) {
-      std::ostringstream os;
-      os.precision(3);
-      os << std::fixed << total / kRepeats;
-      return os.str();
-    };
-    table.AddRow({std::to_string(clusters), std::to_string(rebuilds[0]),
-                  std::to_string(rebuilds[1]), fmt_ms(ms[0]), fmt_ms(ms[1]),
-                  std::to_string(retained), std::to_string(facts_refreshed)});
-    json.Row()
-        .Str("experiment", "incremental_ab")
-        .Int("clusters", static_cast<std::uint64_t>(clusters))
-        .Int("baseline_rebuilds", rebuilds[0])
-        .Int("incremental_rebuilds", rebuilds[1])
-        .Num("baseline_workload_ms", ms[0] / kRepeats)
-        .Num("incremental_workload_ms", ms[1] / kRepeats)
-        .Int("families_retained", retained)
-        .Int("facts_nodes_refreshed", facts_refreshed);
-  }
-  std::cout << "== incremental invalidation A/B: apply 3K + undo first CTP "
-               "(mean of " << kRepeats << " runs) ==\n"
-            << table.Render() << '\n';
-}
-
 void PrintAblationTable() {
   TextTable table({"heuristic", "regional", "candidates", "in region",
                    "marked (Table 4)", "safety checks", "undone"});
@@ -492,7 +427,6 @@ BENCHMARK(BM_UndoAblation)
 int main(int argc, char** argv) {
   pivot::BenchJson json("fig4_undo_scaling");
   pivot::PrintScalingTable(json);
-  pivot::PrintIncrementalTable(json);
   pivot::PrintAblationTable();
   const bool planner_ok = pivot::PrintPlannerTable(json, /*flat=*/false) &&
                           pivot::PrintPlannerTable(json, /*flat=*/true);

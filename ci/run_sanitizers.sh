@@ -4,8 +4,7 @@
 # both. Any sanitizer report fails the job (halt_on_error, and the build
 # sets -fno-sanitize-recover=all so UBSan reports abort too). A second
 # ThreadSanitizer build then re-runs the suites that exercise the
-# multi-threaded paths (parallel safety checking in the undo planner,
-# parallel analysis priming).
+# multi-threaded paths (the server, its group commit and crash soak).
 #
 # Usage: ci/run_sanitizers.sh [build-dir] [tsan-build-dir]
 #        (defaults: build-asan build-tsan)
@@ -24,12 +23,11 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 # Tier-1: the full test suite (units, scenarios, randomized properties).
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
-# The fault-injection and incremental-analysis differential suites are part
-# of ctest above; run the binaries once more on their own so their sanitizer
-# output is easy to find in CI logs. The differential suite also exercises
-# the parallel PrimeAll path, which only ASan/TSan-clean threading survives.
+# The fault-injection and analysis-cache differential suites are part of
+# ctest above; run the binaries once more on their own so their sanitizer
+# output is easy to find in CI logs.
 "$BUILD_DIR"/tests/fault_injection_tests
-"$BUILD_DIR"/tests/analysis_incremental_tests
+"$BUILD_DIR"/tests/analysis_cache_tests
 
 # Crash-consistency soak: the durable-journal crash-point sweep, reusing
 # this script's ASan build tree (see ci/run_crash_soak.sh for the rationale).
@@ -58,19 +56,19 @@ ci/run_swarm_soak.sh "$BUILD_DIR"
 echo "ASan+UBSan run complete"
 
 # ThreadSanitizer job: rebuild with -fsanitize=thread (ASan and TSan cannot
-# share a binary, hence the separate tree) and run the suites that fan work
-# out across threads — the planner's parallel safety checks and the
-# analysis cache's parallel priming.
+# share a binary, hence the separate tree) and run the suites that run
+# work on several threads, plus the planner, analysis-cache and
+# fault-injection suites.
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 
 cmake -B "$TSAN_BUILD_DIR" -S . -DPIVOT_SANITIZE_THREAD=ON \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$TSAN_BUILD_DIR" -j "$(nproc)" --target \
-      planner_tests analysis_incremental_tests fault_injection_tests \
+      planner_tests analysis_cache_tests fault_injection_tests \
       server_tests server_crash_tests
 
 "$TSAN_BUILD_DIR"/tests/planner_tests
-"$TSAN_BUILD_DIR"/tests/analysis_incremental_tests
+"$TSAN_BUILD_DIR"/tests/analysis_cache_tests
 "$TSAN_BUILD_DIR"/tests/fault_injection_tests
 # The server is the most thread-heavy subsystem in the tree: group-commit
 # worker + per-connection threads + concurrent committers in the soak.

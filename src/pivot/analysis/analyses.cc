@@ -1,25 +1,8 @@
 #include "pivot/analysis/analyses.h"
 
-#include <functional>
-#include <utility>
-#include <vector>
-
 #include "pivot/support/fault_injector.h"
-#include "pivot/support/worker_pool.h"
 
 namespace pivot {
-
-AnalysisCache::AnalysisCache(Program& program, AnalysisOptions options)
-    : program_(program), options_(options) {
-  program_.AddMutationListener(this);
-}
-
-AnalysisCache::~AnalysisCache() { program_.RemoveMutationListener(this); }
-
-void AnalysisCache::OnProgramMutation(StmtId stmt, bool structural) {
-  if (structural) structural_dirty_ = true;
-  if (stmt.valid()) dirty_stmts_.insert(stmt);
-}
 
 void AnalysisCache::CountRebuild(Family family) {
   ++rebuilds_[static_cast<std::size_t>(family)];
@@ -32,17 +15,8 @@ void AnalysisCache::Refresh() {
   // survive a failure here (the caches are already consistent — lazy
   // rebuild just restarts on the next query).
   PIVOT_FAULT_POINT("analysis.rebuild.pre");
-  const bool expression_only =
-      options_.incremental && valid_epoch_.has_value() && !structural_dirty_;
-  if (expression_only) {
-    RefreshExpressionOnly();
-  } else {
-    DropAll();
-  }
+  DropAll();
   valid_epoch_ = program_.epoch();
-  structural_dirty_ = false;
-  dirty_stmts_.clear();
-  ++epochs_refreshed_;
 }
 
 void AnalysisCache::DropAll() {
@@ -62,109 +36,11 @@ void AnalysisCache::DropAll() {
   block_dags_.reset();
 }
 
-void AnalysisCache::RefreshExpressionOnly() {
-  // Shape-invariant families: the statement tree kept its structure, so the
-  // flatten order, the CFG, and its dominator tree still describe the
-  // program exactly.
-  int retained = 0;
-  if (flat_) ++retained;
-  if (cfg_) ++retained;
-  if (doms_) ++retained;
-
-  // The loop tree caches constant bounds parsed from header expressions, so
-  // it survives only windows that left every loop header untouched.
-  bool loop_header_dirty = false;
-  for (const StmtId id : dirty_stmts_) {
-    const Stmt* stmt = program_.FindStmt(id);
-    if (stmt != nullptr && stmt->kind == StmtKind::kDo) {
-      loop_header_dirty = true;
-      break;
-    }
-  }
-  if (loops_) {
-    if (loop_header_dirty) {
-      loops_.reset();
-    } else {
-      ++retained;
-    }
-  }
-
-  if (facts_ && cfg_) {
-    RefreshDirtyFacts();
-    ++retained;
-  } else {
-    facts_.reset();
-  }
-  if (block_dags_) {
-    RefreshDirtyBlockDags();
-    ++retained;
-  }
-  NoteRetained(retained);
-
-  // Replaced expressions change what the dirty nodes define and use, so
-  // every global solver result is stale. They are rebuilt from the bottom
-  // (never warm-started): an over-seeded may-analysis can converge above
-  // the least fixpoint, and the differential harness demands bit-identical
-  // answers. Incrementality comes from the retained inputs above.
-  summaries_.reset();
-  pdg_.reset();
-  deps_.reset();
-  defuse_.reset();
-  avail_.reset();
-  liveness_.reset();
-  reaching_.reset();
-}
-
-void AnalysisCache::RefreshDirtyFacts() {
-  for (const StmtId id : dirty_stmts_) {
-    Stmt* stmt = program_.FindStmt(id);
-    // Mutations on detached subtrees (e.g. building a replacement off-tree)
-    // dirty ids with no CFG node; nothing cached depends on them.
-    if (stmt == nullptr || !stmt->attached) continue;
-    const auto it = cfg_->node_of.find(id);
-    if (it == cfg_->node_of.end()) continue;
-    facts_->node_facts[static_cast<std::size_t>(it->second)] =
-        ComputeNodeFacts(*stmt, facts_->names);
-    ++facts_nodes_refreshed_;
-  }
-}
-
-void AnalysisCache::RefreshDirtyBlockDags() {
-  BlockDags next;
-  next.blocks = CollectBasicBlocks(program_);
-  next.dags.reserve(next.blocks.size());
-  for (std::size_t b = 0; b < next.blocks.size(); ++b) {
-    const BasicBlock& block = next.blocks[b];
-    bool dirty = false;
-    for (const Stmt* stmt : block.stmts) {
-      if (dirty_stmts_.count(stmt->id) != 0) {
-        dirty = true;
-        break;
-      }
-    }
-    const bool reusable = !dirty && b < block_dags_->blocks.size() &&
-                          SameBlockStmts(block, block_dags_->blocks[b]);
-    if (reusable) {
-      next.dags.push_back(block_dags_->dags[b]);
-      ++dag_blocks_reused_;
-    } else {
-      next.dags.push_back(std::make_shared<const BlockDag>(block));
-      ++dag_blocks_rebuilt_;
-    }
-    for (const Stmt* stmt : block.stmts) {
-      next.block_of[stmt->id] = static_cast<int>(b);
-    }
-  }
-  *block_dags_ = std::move(next);
-}
-
 void AnalysisCache::Invalidate() {
   // No fault point here: rollback recovery calls Invalidate to discard
   // possibly half-built results, and recovery itself must not fault.
   DropAll();
   valid_epoch_.reset();
-  structural_dirty_ = false;
-  dirty_stmts_.clear();
 }
 
 const FlatProgram& AnalysisCache::flat() {
@@ -286,114 +162,6 @@ const BlockDags& AnalysisCache::block_dags() {
     CountRebuild(Family::kBlockDags);
   }
   return *block_dags_;
-}
-
-bool AnalysisCache::FullyPrimed() const {
-  return valid_epoch_.has_value() && *valid_epoch_ == program_.epoch() &&
-         !structural_dirty_ && dirty_stmts_.empty() && flat_ && cfg_ &&
-         doms_ && facts_ && reaching_ && liveness_ && avail_ && defuse_ &&
-         loops_ && deps_ && pdg_ && summaries_ && block_dags_;
-}
-
-void AnalysisCache::PrimeAll() {
-  Refresh();
-  if (!options_.parallel_rebuild) {
-    flat();
-    cfg();
-    doms();
-    facts();
-    reaching();
-    liveness();
-    avail();
-    defuse();
-    loops();
-    deps();
-    pdg();
-    summaries();
-    block_dags();
-    return;
-  }
-
-  // Parallel path: families grouped into dependency waves. Tasks build
-  // directly into their (distinct) member slots and never call accessors —
-  // an accessor would lazily build a prerequisite and race another task;
-  // the wave structure guarantees every prerequisite is already installed.
-  // Counters are updated on this thread after each join.
-  const int threads = options_.threads;
-  std::vector<Family> built;
-  auto record = [&] {
-    for (const Family family : built) CountRebuild(family);
-    built.clear();
-  };
-
-  std::vector<std::function<void()>> wave;
-  if (!flat_) {
-    built.push_back(Family::kFlat);
-    wave.push_back([this] { flat_.emplace(Flatten(program_)); });
-  }
-  if (!cfg_) {
-    built.push_back(Family::kCfg);
-    wave.push_back([this] { cfg_.emplace(BuildCfg(program_)); });
-  }
-  if (!loops_) {
-    built.push_back(Family::kLoops);
-    wave.push_back([this] { loops_.emplace(program_); });
-  }
-  if (!block_dags_) {
-    built.push_back(Family::kBlockDags);
-    wave.push_back([this] { block_dags_.emplace(BuildBlockDags(program_)); });
-  }
-  WorkerPool::RunAll(std::move(wave), threads);
-  record();
-
-  wave.clear();
-  if (!doms_) {
-    built.push_back(Family::kDoms);
-    wave.push_back([this] { doms_.emplace(*cfg_); });
-  }
-  if (!facts_) {
-    built.push_back(Family::kFacts);
-    wave.push_back([this] { facts_.emplace(ComputeFacts(*cfg_)); });
-  }
-  if (!deps_) {
-    built.push_back(Family::kDeps);
-    wave.push_back(
-        [this] { deps_.emplace(ComputeDependences(program_, *loops_)); });
-  }
-  WorkerPool::RunAll(std::move(wave), threads);
-  record();
-
-  wave.clear();
-  if (!reaching_) {
-    built.push_back(Family::kReaching);
-    wave.push_back([this] { reaching_.emplace(*cfg_, *facts_); });
-  }
-  if (!liveness_) {
-    built.push_back(Family::kLiveness);
-    wave.push_back([this] { liveness_.emplace(*cfg_, *facts_); });
-  }
-  if (!avail_) {
-    built.push_back(Family::kAvail);
-    wave.push_back([this] { avail_.emplace(*cfg_, *facts_); });
-  }
-  if (!pdg_) {
-    built.push_back(Family::kPdg);
-    wave.push_back([this] { pdg_.emplace(program_, *deps_); });
-  }
-  WorkerPool::RunAll(std::move(wave), threads);
-  record();
-
-  wave.clear();
-  if (!defuse_) {
-    built.push_back(Family::kDefuse);
-    wave.push_back([this] { defuse_.emplace(*cfg_, *facts_, *reaching_); });
-  }
-  if (!summaries_) {
-    built.push_back(Family::kSummaries);
-    wave.push_back([this] { summaries_.emplace(*pdg_); });
-  }
-  WorkerPool::RunAll(std::move(wave), threads);
-  record();
 }
 
 }  // namespace pivot

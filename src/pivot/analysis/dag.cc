@@ -46,7 +46,7 @@ std::vector<BasicBlock> CollectBasicBlocks(Program& program) {
 const BlockDag* BlockDags::DagOf(const Stmt& stmt) const {
   auto it = block_of.find(stmt.id);
   if (it == block_of.end()) return nullptr;
-  return dags[static_cast<std::size_t>(it->second)].get();
+  return &dags[static_cast<std::size_t>(it->second)];
 }
 
 BlockDags BuildBlockDags(Program& program) {
@@ -54,16 +54,12 @@ BlockDags BuildBlockDags(Program& program) {
   result.blocks = CollectBasicBlocks(program);
   result.dags.reserve(result.blocks.size());
   for (std::size_t b = 0; b < result.blocks.size(); ++b) {
-    result.dags.push_back(std::make_shared<const BlockDag>(result.blocks[b]));
+    result.dags.emplace_back(result.blocks[b]);
     for (const Stmt* stmt : result.blocks[b].stmts) {
       result.block_of[stmt->id] = static_cast<int>(b);
     }
   }
   return result;
-}
-
-bool SameBlockStmts(const BasicBlock& a, const BasicBlock& b) {
-  return a.stmts == b.stmts;
 }
 
 BlockDag::BlockDag(const BasicBlock& block) {

@@ -9,7 +9,6 @@
 #ifndef PIVOT_ANALYSIS_DAG_H_
 #define PIVOT_ANALYSIS_DAG_H_
 
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -65,12 +64,11 @@ class BlockDag {
 };
 
 // Every basic block of the program with its DAG, bundled for the analysis
-// cache. DAGs are held by shared_ptr so an incremental refresh can carry
-// clean blocks' DAGs over unchanged and rebuild only the dirty blocks.
+// cache.
 struct BlockDags {
   std::vector<BasicBlock> blocks;
-  std::vector<std::shared_ptr<const BlockDag>> dags;  // aligned with blocks
-  std::unordered_map<StmtId, int> block_of;           // stmt -> block index
+  std::vector<BlockDag> dags;                // aligned with blocks
+  std::unordered_map<StmtId, int> block_of;  // stmt -> block index
 
   // The DAG of the block containing `stmt`, or null for statements outside
   // any basic block (loop / if headers).
@@ -78,10 +76,6 @@ struct BlockDags {
 };
 
 BlockDags BuildBlockDags(Program& program);
-
-// True when the two blocks cover exactly the same statements in the same
-// order — the reuse precondition for carrying a DAG across epochs.
-bool SameBlockStmts(const BasicBlock& a, const BasicBlock& b);
 
 }  // namespace pivot
 

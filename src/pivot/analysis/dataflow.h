@@ -49,12 +49,7 @@ struct ProgramFacts {
 };
 ProgramFacts ComputeFacts(const Cfg& cfg);
 
-// The block-local fact of one statement, interning into `names`. This is
-// the unit the incremental analysis cache recomputes for dirty nodes only,
-// reseeding the global data-flow solvers from the unchanged remainder.
-// Note the name table is append-only: a name that disappears from the
-// program stays interned (its fact bits simply never get set again), so
-// refreshed facts stay index-compatible with retained ones.
+// The block-local fact of one statement, interning into `names`.
 NodeFacts ComputeNodeFacts(const Stmt& stmt, NameTable& names);
 
 // --- Reaching definitions (forward, may) ---

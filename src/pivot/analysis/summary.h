@@ -35,8 +35,8 @@ class DependenceSummaries {
   std::size_t TotalSummarized() const { return total_; }
 
   // Canonical dump (regions ascending, dependences sorted within each):
-  // equal summaries print identically, which is what the incremental-vs-
-  // from-scratch differential harness diffs.
+  // equal summaries print identically, which is what the long-lived-vs-
+  // fresh cache differential harness diffs.
   std::string ToString() const;
 
  private:

@@ -34,7 +34,7 @@
 //     affected-scan is provably empty before any index query is needed.
 //
 // Coherence: the index listens to both streams that can change an answer.
-//   * Program mutations (as a MutationListener, like AnalysisCache): dirty
+//   * Program mutations (as a Program::MutationListener): dirty
 //     statement ids are buffered; the name sync resolves each one and
 //     walks its current ancestor chain — every indexed record referencing
 //     a statement on that chain gets its names recomputed. A dirty id

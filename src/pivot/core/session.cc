@@ -24,7 +24,7 @@ const char* TxnOpName(TxnOp op) {
 Session::Session(Program program, SessionOptions options)
     : options_(std::move(options)),
       program_(std::move(program)),
-      analyses_(program_, options_.analysis),
+      analyses_(program_),
       journal_(program_),
       engine_(analyses_, journal_, history_, options_.undo),
       editor_(analyses_, journal_, history_) {

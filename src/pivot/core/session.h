@@ -40,9 +40,6 @@ struct RecoverResult;  // persist/durable.h
 
 struct SessionOptions {
   UndoOptions undo;
-  // Invalidation policy of the session's analysis cache (incremental
-  // region-scoped refresh, parallel priming).
-  AnalysisOptions analysis;
   // Run ValidateSession before committing each transaction; a rejected
   // result is rolled back and reported as a ProgramError.
   bool strict = false;
@@ -52,7 +49,7 @@ class Session {
  public:
   explicit Session(Program program, UndoOptions options = {})
       : Session(std::move(program),
-                SessionOptions{std::move(options), {}, false}) {}
+                SessionOptions{std::move(options), false}) {}
   Session(Program program, SessionOptions options);
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;

@@ -42,7 +42,9 @@ Transaction::Transaction(Journal& journal, History& history,
       history_(history),
       analyses_(analyses),
       history_mark_(history.size()),
-      next_stamp_mark_(history.next_stamp()) {
+      next_stamp_mark_(history.next_stamp()),
+      next_stmt_mark_(journal.program().next_stmt_id()),
+      next_expr_mark_(journal.program().next_expr_id()) {
   undone_mark_.reserve(history_mark_);
   for (const TransformRecord& rec : history_.records()) {
     undone_mark_.push_back(rec.undone);
@@ -95,6 +97,9 @@ void Transaction::Rollback() {
     ++i;
   }
   history_.RewindTo(history_mark_, next_stamp_mark_);
+  // The replay retired every node the operation created; hand their ids
+  // out again, as replay of the journal (which never saw them) will.
+  journal_.program().RewindIdCounters(next_stmt_mark_, next_expr_mark_);
 
   // The replay above mutated the program behind the analysis cache; drop
   // everything (Invalidate is fault-free by contract — recovery must not

@@ -18,7 +18,6 @@ UndoStats& UndoStats::operator+=(const UndoStats& other) {
   candidates_in_region += other.candidates_in_region;
   candidates_marked += other.candidates_marked;
   safety_checks += other.safety_checks;
-  safety_checks_parallel += other.safety_checks_parallel;
   reversibility_checks += other.reversibility_checks;
   analysis_rebuilds += other.analysis_rebuilds;
   fault_crossings += other.fault_crossings;
@@ -56,11 +55,6 @@ UndoEngine::UndoEngine(AnalysisCache& analyses, Journal& journal,
 
 void UndoEngine::NoteDepthExhausted() {
   if (recovery_ != nullptr) ++recovery_->undo_depth_exhausted;
-}
-
-WorkerPool& UndoEngine::pool() {
-  if (!pool_) pool_ = std::make_unique<WorkerPool>(options_.safety_threads);
-  return *pool_;
 }
 
 UndoStats UndoEngine::Undo(OrderStamp stamp) {
@@ -577,32 +571,6 @@ std::vector<ActionId> UndoEngine::InvertActions(TransformRecord& rec,
   return inverted;
 }
 
-std::vector<char> UndoEngine::PrefetchSafety(
-    const std::vector<TransformRecord*>& candidates, UndoStats& stats) {
-  std::vector<char> verdicts(candidates.size(), 1);
-  if (candidates.empty()) return verdicts;
-  stats.safety_checks_parallel += static_cast<int>(candidates.size());
-  if (options_.safety_threads <= 1 || candidates.size() == 1) {
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      const Transformation& t = GetTransformation(candidates[i]->kind);
-      verdicts[i] =
-          t.CheckSafety(analyses_, journal_, *candidates[i]) ? 1 : 0;
-    }
-    return verdicts;
-  }
-  // Build every analysis family on this thread first; the fan-out then
-  // only performs epoch-validated reads of the primed cache (plus
-  // read-only journal/program walks), which is what keeps it TSan-clean.
-  analyses_.PrimeAll();
-  PIVOT_CHECK_MSG(analyses_.FullyPrimed(),
-                  "parallel safety fan-out requires a fully primed cache");
-  pool().ParallelFor(candidates.size(), [&](std::size_t i) {
-    const Transformation& t = GetTransformation(candidates[i]->kind);
-    verdicts[i] = t.CheckSafety(analyses_, journal_, *candidates[i]) ? 1 : 0;
-  });
-  return verdicts;
-}
-
 bool UndoEngine::ProvablyNoLiveLaterThan(const TransformRecord& undone) const {
   if (index_ == nullptr || trace_ != nullptr) return false;
   // History order is stamp order, so a backwards probe decides the
@@ -648,92 +616,38 @@ void UndoEngine::ScanAffectedLinear(TransformRecord& undone,
     if (rec.stamp > undone.stamp) later.push_back(&rec);  // line 18: k > i
   }
 
-  if (options_.safety_threads <= 1 || trace_ != nullptr) {
-    for (TransformRecord* candidate : later) {
-      if (candidate->undone) continue;  // removed by a deeper recursion
-      ++stats.candidates_total;
-      UndoTraceEvent event =
-          MakeEvent(UndoTraceEvent::Kind::kCandidateSafe, undone, depth);
-      event.other = candidate->stamp;
-      event.other_kind = candidate->kind;
-      // The space coordinate: only transformations in the affected region.
-      if (!region.ContainsRecord(analyses_.program(), journal_,
-                                 *candidate)) {
-        event.kind = UndoTraceEvent::Kind::kCandidateOutsideRegion;
-        Trace(std::move(event));
-        continue;
-      }
-      ++stats.candidates_in_region;
-      // Line 20: the reverse-destroy heuristic.
-      if (!table_.Enables(undone.kind, candidate->kind)) {
-        event.kind = UndoTraceEvent::Kind::kCandidateUnmarked;
-        Trace(std::move(event));
-        continue;
-      }
-      ++stats.candidates_marked;
-      // Lines 22-25: full safety re-evaluation; ripple when violated.
-      ++stats.safety_checks;
-      const Transformation& t = GetTransformation(candidate->kind);
-      if (!t.CheckSafety(analyses_, journal_, *candidate)) {
-        event.kind = UndoTraceEvent::Kind::kCandidateUnsafe;
-        Trace(std::move(event));
-        PIVOT_FAULT_POINT("undo.cascade.recurse");
-        UndoRec(*candidate, stats, depth + 1);
-      } else {
-        Trace(std::move(event));
-      }
+  for (TransformRecord* candidate : later) {
+    if (candidate->undone) continue;  // removed by a deeper recursion
+    ++stats.candidates_total;
+    UndoTraceEvent event =
+        MakeEvent(UndoTraceEvent::Kind::kCandidateSafe, undone, depth);
+    event.other = candidate->stamp;
+    event.other_kind = candidate->kind;
+    // The space coordinate: only transformations in the affected region.
+    if (!region.ContainsRecord(analyses_.program(), journal_, *candidate)) {
+      event.kind = UndoTraceEvent::Kind::kCandidateOutsideRegion;
+      Trace(std::move(event));
+      continue;
     }
-    return;
-  }
-
-  // Optimistic parallel waves: classify the remaining candidates at the
-  // current program state, prefetch their safety verdicts concurrently,
-  // then consume in stamp order. The first unsafe candidate cascades and
-  // invalidates everything after it (its recursion mutated the program),
-  // so those outcomes and verdicts are discarded un-consumed and the next
-  // wave re-derives them — the decision sequence and the consumed-counter
-  // totals are exactly the sequential ones.
-  enum : unsigned char { kSkip, kOutside, kUnmarked, kCheck };
-  std::size_t pos = 0;
-  while (pos < later.size()) {
-    std::vector<unsigned char> outcome;
-    outcome.reserve(later.size() - pos);
-    std::vector<TransformRecord*> to_check;
-    for (std::size_t i = pos; i < later.size(); ++i) {
-      TransformRecord* candidate = later[i];
-      unsigned char o = kCheck;
-      if (candidate->undone) {
-        o = kSkip;
-      } else if (!region.ContainsRecord(analyses_.program(), journal_,
-                                        *candidate)) {
-        o = kOutside;
-      } else if (!table_.Enables(undone.kind, candidate->kind)) {
-        o = kUnmarked;
-      } else {
-        to_check.push_back(candidate);
-      }
-      outcome.push_back(o);
+    ++stats.candidates_in_region;
+    // Line 20: the reverse-destroy heuristic.
+    if (!table_.Enables(undone.kind, candidate->kind)) {
+      event.kind = UndoTraceEvent::Kind::kCandidateUnmarked;
+      Trace(std::move(event));
+      continue;
     }
-    const std::vector<char> verdicts = PrefetchSafety(to_check, stats);
-    bool cascaded = false;
-    std::size_t vi = 0;
-    for (std::size_t i = pos; i < later.size() && !cascaded; ++i) {
-      const unsigned char o = outcome[i - pos];
-      pos = i + 1;
-      if (o == kSkip) continue;
-      ++stats.candidates_total;
-      if (o == kOutside) continue;
-      ++stats.candidates_in_region;
-      if (o == kUnmarked) continue;
-      ++stats.candidates_marked;
-      ++stats.safety_checks;
-      if (verdicts[vi++] == 0) {
-        PIVOT_FAULT_POINT("undo.cascade.recurse");
-        UndoRec(*later[i], stats, depth + 1);
-        cascaded = true;
-      }
+    ++stats.candidates_marked;
+    // Lines 22-25: full safety re-evaluation; ripple when violated.
+    ++stats.safety_checks;
+    const Transformation& t = GetTransformation(candidate->kind);
+    if (!t.CheckSafety(analyses_, journal_, *candidate)) {
+      event.kind = UndoTraceEvent::Kind::kCandidateUnsafe;
+      Trace(std::move(event));
+      PIVOT_FAULT_POINT("undo.cascade.recurse");
+      UndoRec(*candidate, stats, depth + 1);
+    } else {
+      Trace(std::move(event));
     }
-    if (!cascaded) break;
   }
 }
 
@@ -759,53 +673,22 @@ void UndoEngine::ScanAffectedIndexed(TransformRecord& undone,
       candidates.push_back(candidate);
     }
     bool cascaded = false;
-    if (options_.safety_threads <= 1) {
-      for (TransformRecord* candidate : candidates) {
-        resume = candidate->stamp;
-        ++stats.candidates_total;
-        // The index pre-selects by footprint; the exact containment
-        // predicate keeps the adjudicated set identical to the full scan.
-        if (!region.ContainsRecord(program, journal_, *candidate)) continue;
-        ++stats.candidates_in_region;
-        if (!table_.Enables(undone.kind, candidate->kind)) continue;
-        ++stats.candidates_marked;
-        ++stats.safety_checks;
-        const Transformation& t = GetTransformation(candidate->kind);
-        if (!t.CheckSafety(analyses_, journal_, *candidate)) {
-          PIVOT_FAULT_POINT("undo.cascade.recurse");
-          UndoRec(*candidate, stats, depth + 1);
-          cascaded = true;
-          break;
-        }
-      }
-    } else {
-      enum : unsigned char { kOutside, kUnmarked, kCheck };
-      std::vector<unsigned char> outcome(candidates.size(), kCheck);
-      std::vector<TransformRecord*> to_check;
-      for (std::size_t i = 0; i < candidates.size(); ++i) {
-        if (!region.ContainsRecord(program, journal_, *candidates[i])) {
-          outcome[i] = kOutside;
-        } else if (!table_.Enables(undone.kind, candidates[i]->kind)) {
-          outcome[i] = kUnmarked;
-        } else {
-          to_check.push_back(candidates[i]);
-        }
-      }
-      const std::vector<char> verdicts = PrefetchSafety(to_check, stats);
-      std::size_t vi = 0;
-      for (std::size_t i = 0; i < candidates.size() && !cascaded; ++i) {
-        resume = candidates[i]->stamp;
-        ++stats.candidates_total;
-        if (outcome[i] == kOutside) continue;
-        ++stats.candidates_in_region;
-        if (outcome[i] == kUnmarked) continue;
-        ++stats.candidates_marked;
-        ++stats.safety_checks;
-        if (verdicts[vi++] == 0) {
-          PIVOT_FAULT_POINT("undo.cascade.recurse");
-          UndoRec(*candidates[i], stats, depth + 1);
-          cascaded = true;
-        }
+    for (TransformRecord* candidate : candidates) {
+      resume = candidate->stamp;
+      ++stats.candidates_total;
+      // The index pre-selects by footprint; the exact containment
+      // predicate keeps the adjudicated set identical to the full scan.
+      if (!region.ContainsRecord(program, journal_, *candidate)) continue;
+      ++stats.candidates_in_region;
+      if (!table_.Enables(undone.kind, candidate->kind)) continue;
+      ++stats.candidates_marked;
+      ++stats.safety_checks;
+      const Transformation& t = GetTransformation(candidate->kind);
+      if (!t.CheckSafety(analyses_, journal_, *candidate)) {
+        PIVOT_FAULT_POINT("undo.cascade.recurse");
+        UndoRec(*candidate, stats, depth + 1);
+        cascaded = true;
+        break;
       }
     }
     if (!cascaded) break;
@@ -931,22 +814,12 @@ void UndoEngine::ScanRestoredIndexed(TransformRecord& undone,
       }
       candidates.push_back(candidate);
     }
-    const std::vector<char> verdicts =
-        options_.safety_threads > 1 ? PrefetchSafety(candidates, stats)
-                                    : std::vector<char>();
     bool cascaded = false;
-    for (std::size_t i = 0; i < candidates.size() && !cascaded; ++i) {
-      TransformRecord* candidate = candidates[i];
+    for (TransformRecord* candidate : candidates) {
       resume = candidate->stamp;
       ++stats.safety_checks;
-      bool safe;
-      if (!verdicts.empty()) {
-        safe = verdicts[i] != 0;
-      } else {
-        const Transformation& t = GetTransformation(candidate->kind);
-        safe = t.CheckSafety(analyses_, journal_, *candidate);
-      }
-      if (!safe) {
+      const Transformation& t = GetTransformation(candidate->kind);
+      if (!t.CheckSafety(analyses_, journal_, *candidate)) {
         UndoTraceEvent event =
             MakeEvent(UndoTraceEvent::Kind::kCandidateUnsafe, undone, depth);
         event.other = candidate->stamp;
@@ -955,6 +828,7 @@ void UndoEngine::ScanRestoredIndexed(TransformRecord& undone,
         PIVOT_FAULT_POINT("undo.cascade.recurse");
         UndoRec(*candidate, stats, depth + 1);
         cascaded = true;
+        break;
       }
     }
     if (!cascaded) break;

@@ -27,7 +27,6 @@
 #include "pivot/core/region_index.h"
 #include "pivot/core/trace.h"
 #include "pivot/core/transaction.h"
-#include "pivot/support/worker_pool.h"
 
 namespace pivot {
 
@@ -48,12 +47,6 @@ struct UndoOptions {
   // decision traces stay event-for-event identical to the seed.
   bool indexed = true;
 
-  // > 1 fans independent CheckSafety evaluations of a scan wave out onto
-  // a worker pool (analyses primed read-only first). Verdicts are consumed
-  // in stamp order and discarded past the first cascade, so the decision
-  // sequence is exactly the sequential one.
-  int safety_threads = 1;
-
   // Bound on affecting-chain walks and cascade recursion. Exhaustion is a
   // reported error (ProgramError + RecoveryReport::undo_depth_exhausted),
   // never a silent truncation.
@@ -70,10 +63,6 @@ struct UndoStats {
   int candidates_in_region = 0;   // survived the regional filter
   int candidates_marked = 0;      // survived the reverse-destroy filter
   int safety_checks = 0;          // full safety-condition evaluations
-                                  // consumed by the scan (sequential
-                                  // decision count, mode-independent)
-  int safety_checks_parallel = 0;  // raw evaluations run on the pool
-                                   // (>= consumed; wasted = speculation)
   int reversibility_checks = 0;   // post-pattern validations
   // Figure 4 line 13: how many from-scratch analysis re-derivations the
   // undo triggered (each inverse-action batch invalidates the caches).
@@ -210,13 +199,6 @@ class UndoEngine {
   void ScanRestoredIndexed(TransformRecord& undone,
                            const std::vector<StmtId>& restored,
                            UndoStats& stats, int depth);
-  // Evaluates CheckSafety for `candidates` — on the worker pool when
-  // safety_threads > 1 (analyses primed first) — returning one verdict
-  // per candidate, index-aligned. Safe only between program mutations;
-  // callers discard verdicts past the first cascade.
-  std::vector<char> PrefetchSafety(
-      const std::vector<TransformRecord*>& candidates, UndoStats& stats);
-  WorkerPool& pool();
 
   AnalysisCache& analyses_;
   Journal& journal_;
@@ -224,7 +206,6 @@ class UndoEngine {
   UndoOptions options_;
   InteractionTable table_;
   std::unique_ptr<RegionIndex> index_;  // present when options_.indexed
-  std::unique_ptr<WorkerPool> pool_;    // created on first parallel wave
   RecoveryReport* recovery_ = nullptr;
   UndoTrace* trace_ = nullptr;
 };

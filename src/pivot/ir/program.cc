@@ -26,6 +26,22 @@ void Program::RestoreIdCounters(std::uint32_t next_stmt,
   next_expr_id_ = next_expr;
 }
 
+void Program::RewindIdCounters(std::uint32_t next_stmt,
+                               std::uint32_t next_expr) {
+  PIVOT_CHECK_MSG(next_stmt <= next_stmt_id_ && next_expr <= next_expr_id_,
+                  "id counters only rewind backwards");
+  for (const auto& [id, stmt] : stmts_) {
+    PIVOT_CHECK_MSG(id.value() < next_stmt,
+                    "rewind would re-issue live StmtId " << id.value());
+  }
+  for (const auto& [id, expr] : exprs_) {
+    PIVOT_CHECK_MSG(id.value() < next_expr,
+                    "rewind would re-issue live ExprId " << id.value());
+  }
+  next_stmt_id_ = next_stmt;
+  next_expr_id_ = next_expr;
+}
+
 void Program::Mutated(StmtId stmt, bool structural) {
   ++epoch_;
   for (MutationListener* listener : listeners_) {

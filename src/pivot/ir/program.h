@@ -28,8 +28,8 @@ class Program {
   // Receives every epoch-bumping mutation as it happens, with the touched
   // statement (when one is known) and whether the change was *structural*
   // (statements inserted, detached, moved, or a loop header rewritten) or a
-  // pure expression replacement under an existing statement. Incremental
-  // analysis caching keys its dirty sets on this stream; since every
+  // pure expression replacement under an existing statement. The undo
+  // engine's RegionIndex keys its dirty sets on this stream; since every
   // mutation path funnels through Program, the stream is complete — there
   // is no way to change the tree without listeners hearing about it.
   class MutationListener {
@@ -44,9 +44,8 @@ class Program {
   Program(Program&&) = default;
   Program& operator=(Program&&) = default;
 
-  // Listeners are not owned; register/unregister freely (several analysis
-  // caches may observe one program, e.g. a differential-testing harness
-  // holding an incremental and a from-scratch cache side by side).
+  // Listeners are not owned; register/unregister freely (several may
+  // observe one program).
   void AddMutationListener(MutationListener* listener);
   void RemoveMutationListener(MutationListener* listener);
 
@@ -139,6 +138,11 @@ class Program {
   // Restores persisted counters. Counters only ever move forward: restoring
   // below the current high-water mark (which would re-issue live ids) aborts.
   void RestoreIdCounters(std::uint32_t next_stmt, std::uint32_t next_expr);
+  // Moves the counters back to values they held earlier. Only transaction
+  // rollback uses this, after retiring every node the rolled-back
+  // operation created, so the session goes on allocating the ids replay
+  // will; a registered node at or above the rewound counters aborts.
+  void RewindIdCounters(std::uint32_t next_stmt, std::uint32_t next_expr);
 
   // --- Epoch ---
   // Monotonically increasing mutation counter; analyses cache against it.

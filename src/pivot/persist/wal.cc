@@ -231,7 +231,7 @@ WalScanResult ScanWal(const std::string& path) {
       break;
     }
     const char* payload = data.data() + pos + 8;
-    if (Crc32c(payload, len) != crc) {
+    if (Crc32c(std::string_view(payload, len)) != crc) {
       result.truncation_reason = "checksum mismatch";
       break;
     }

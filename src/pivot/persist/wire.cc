@@ -1,5 +1,6 @@
 #include "pivot/persist/wire.h"
 
+#include <iterator>
 #include <sstream>
 
 #include "pivot/ir/parser.h"
@@ -13,6 +14,14 @@ namespace {
 using persist_internal::Malformed;
 using persist_internal::TokenReader;
 using persist_internal::TokenWriter;
+
+// Retired genesis slots. The frame once also carried safety_threads (after
+// `indexed`) and incremental, parallel_rebuild and threads (after
+// `max_depth`), options that no longer exist. The encoder writes their old
+// defaults so the byte layout is unchanged; the decoder reads and discards
+// whatever an older journal stored there.
+constexpr int kRetiredAfterIndexed = 1;
+constexpr int kRetiredAfterMaxDepth[] = {0, 0, 4};
 
 constexpr TxnOp kAllOps[] = {
     TxnOp::kApply,      TxnOp::kUndo,       TxnOp::kUndoSet,
@@ -81,11 +90,9 @@ std::string EncodeGenesis(const SessionOptions& options,
   w.Int(static_cast<int>(options.undo.heuristic));
   w.Int(options.undo.regional ? 1 : 0);
   w.Int(options.undo.indexed ? 1 : 0);
-  w.Int(options.undo.safety_threads);
+  w.Int(kRetiredAfterIndexed);
   w.Int(options.undo.max_depth);
-  w.Int(options.analysis.incremental ? 1 : 0);
-  w.Int(options.analysis.parallel_rebuild ? 1 : 0);
-  w.Int(options.analysis.threads);
+  for (const int value : kRetiredAfterMaxDepth) w.Int(value);
   w.Int(options.strict ? 1 : 0);
   w.Str(source);
   return w.Take();
@@ -104,11 +111,9 @@ GenesisInfo DecodeGenesis(const std::string& body) {
       static_cast<UndoOptions::Heuristic>(heuristic);
   info.options.undo.regional = r.Int() != 0;
   info.options.undo.indexed = r.Int() != 0;
-  info.options.undo.safety_threads = static_cast<int>(r.Int());
+  r.Int();  // retired slot
   info.options.undo.max_depth = static_cast<int>(r.Int());
-  info.options.analysis.incremental = r.Int() != 0;
-  info.options.analysis.parallel_rebuild = r.Int() != 0;
-  info.options.analysis.threads = static_cast<int>(r.Int());
+  for (std::size_t i = 0; i < std::size(kRetiredAfterMaxDepth); ++i) r.Int();
   info.options.strict = r.Int() != 0;
   info.source = r.Str();
   if (!r.AtEnd()) Malformed("trailing data in genesis frame");

@@ -278,7 +278,7 @@ bool ReadMessage(int fd, std::string* payload) {
   }
   payload->resize(len);
   ReadAll(fd, payload->data(), len, /*eof_ok=*/false);
-  if (Crc32c(payload->data(), len) != crc) {
+  if (Crc32c(*payload) != crc) {
     throw ProgramError("server transport: message checksum mismatch");
   }
   return true;
@@ -310,7 +310,7 @@ bool ReadMessage(int fd, std::string* payload, int idle_ms, int frame_ms) {
   }
   payload->resize(len);
   ReadAllUntil(fd, payload->data(), len, /*eof_ok=*/false, frame_deadline);
-  if (Crc32c(payload->data(), len) != crc) {
+  if (Crc32c(*payload) != crc) {
     throw ProgramError("server transport: message checksum mismatch");
   }
   return true;

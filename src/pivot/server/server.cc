@@ -773,8 +773,16 @@ void PivotServer::ReconcileSessionWal(const std::string& name) {
   WalScanResult scan;
   if (exists) {
     scan = ScanWal(path);
-    usable = scan.header_ok && scan.version <= kJournalFormatVersion &&
-             !scan.frames.empty() &&
+    // A newer build's journal is refused, never rewritten from the group
+    // log: this build cannot tell what it would destroy.
+    if (scan.header_ok && scan.version > kJournalFormatVersion) {
+      throw ProgramError(
+          "session '" + name + "' journal format version " +
+          std::to_string(scan.version) + " is newer than this build " +
+          "supports (" + std::to_string(kJournalFormatVersion) +
+          "); refusing to rewrite it");
+    }
+    usable = scan.header_ok && !scan.frames.empty() &&
              scan.frames[0].type == FrameType::kGenesis;
   }
 

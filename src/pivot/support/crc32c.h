@@ -17,7 +17,7 @@
 namespace pivot {
 
 // CRC32C of `len` bytes at `data`. `seed` is a previous Crc32c result for
-// incremental computation over split buffers: Crc32c(b, Crc32c(a)) ==
+// chained computation over split buffers: Crc32c(b, Crc32c(a)) ==
 // Crc32c(a + b).
 std::uint32_t Crc32c(const void* data, std::size_t len,
                      std::uint32_t seed = 0);

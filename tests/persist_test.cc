@@ -235,12 +235,9 @@ TEST_F(Wal, RejectsAForeignFile) {
 TEST(WireCodec, GenesisRoundTrips) {
   SessionOptions options;
   options.undo.heuristic = UndoOptions::Heuristic::kConservative;
-  options.undo.regional = true;
-  options.undo.indexed = true;
-  options.undo.safety_threads = 3;
+  options.undo.regional = false;
+  options.undo.indexed = false;
   options.undo.max_depth = 77;
-  options.analysis.incremental = true;
-  options.analysis.threads = 2;
   options.strict = true;
   const std::string source = "x = 1\nwrite \"odd\\chars\"\nwrite x\n";
 
@@ -248,11 +245,30 @@ TEST(WireCodec, GenesisRoundTrips) {
   EXPECT_EQ(info.options.undo.heuristic, options.undo.heuristic);
   EXPECT_EQ(info.options.undo.regional, options.undo.regional);
   EXPECT_EQ(info.options.undo.indexed, options.undo.indexed);
-  EXPECT_EQ(info.options.undo.safety_threads, options.undo.safety_threads);
   EXPECT_EQ(info.options.undo.max_depth, options.undo.max_depth);
-  EXPECT_EQ(info.options.analysis.incremental, options.analysis.incremental);
-  EXPECT_EQ(info.options.analysis.threads, options.analysis.threads);
   EXPECT_EQ(info.options.strict, options.strict);
+  EXPECT_EQ(info.source, source);
+}
+
+// The genesis layout predates the removal of four options; their slots
+// stay in the frame. A default genesis is byte-for-byte what older builds
+// wrote, and a genesis an older build wrote with those options set still
+// decodes (the retired values are read and dropped).
+TEST(WireCodec, GenesisKeepsTheRetiredSlots) {
+  const std::string source = "x = 1\nwrite x\n";
+  EXPECT_EQ(EncodeGenesis(SessionOptions{}, source),
+            "genesis 1 1 1 1 10000 0 0 4 0 \"x = 1\\nwrite x\\n\" ");
+
+  // heuristic=conservative regional indexed safety_threads=3 max_depth=77
+  // incremental=1 parallel_rebuild=0 threads=2 strict.
+  const GenesisInfo info =
+      DecodeGenesis("genesis 0 1 1 3 77 1 0 2 1 \"x = 1\\nwrite x\\n\" ");
+  EXPECT_EQ(info.options.undo.heuristic,
+            UndoOptions::Heuristic::kConservative);
+  EXPECT_TRUE(info.options.undo.regional);
+  EXPECT_TRUE(info.options.undo.indexed);
+  EXPECT_EQ(info.options.undo.max_depth, 77);
+  EXPECT_TRUE(info.options.strict);
   EXPECT_EQ(info.source, source);
 }
 
@@ -580,6 +596,35 @@ TEST_F(Durable, APermanentWriteFaultPoisonsTheJournal) {
   EXPECT_TRUE(r.report.validator_ok);
   EXPECT_EQ(r.session->Source(), committed_source);
   EXPECT_EQ(r.session->HistoryToString(), committed_history);
+}
+
+// An ack that refuses a written txn frame rolls the operation back. The
+// rollback must rewind the program's id counters too: replay never sees
+// the refused attempt, so a live session that kept the ids it burned would
+// name its nodes differently from the session recovery rebuilds.
+TEST_F(Durable, RefusedCommitsLeaveTheIdCountersWhereReplayHasThem) {
+  const std::string path = TmpPath("refused_ids");
+  Session s(Parse(kSource));
+  bool refuse = false;
+  auto wal = DurableJournal::Create(
+      s, path, {}, [&refuse](FrameType type, const std::string&) {
+        if (type == FrameType::kTxn && refuse) {
+          refuse = false;
+          throw ProgramError("commit refused");
+        }
+      });
+  for (const TransformKind kind :
+       {TransformKind::kCtp, TransformKind::kCfo, TransformKind::kDce}) {
+    refuse = true;
+    EXPECT_THROW(s.ApplyFirst(kind), ProgramError);
+    EXPECT_FALSE(refuse) << "the ack never saw the first attempt";
+    ASSERT_TRUE(s.ApplyFirst(kind).has_value());
+  }
+  wal.reset();
+
+  RecoverResult r = RecoverSession(path);
+  EXPECT_EQ(r.report.txns_replayed, 3u);
+  EXPECT_EQ(EncodeSessionImage(*r.session), EncodeSessionImage(s));
 }
 
 // Older builds could write delta-encoded snapshots (frame type 5). A

@@ -1247,6 +1247,19 @@ TEST_F(ServerTest, ReattachOverACorruptTrailingSnapshotKeepsTheCadence) {
 // A passivated session whose WAL now carries a newer format version is
 // refused on reactivation instead of being appended to; the stub survives
 // and reactivates once the file is readable again.
+// Overwrites the format version in a journal's file header.
+void SetWalVersion(const std::string& wal, std::uint32_t version) {
+  std::FILE* f = std::fopen(wal.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  unsigned char bytes[4];
+  for (int i = 0; i < 4; ++i) {
+    bytes[i] = static_cast<unsigned char>(version >> (8 * i));
+  }
+  std::fseek(f, sizeof kWalMagic, SEEK_SET);
+  std::fwrite(bytes, 1, 4, f);
+  std::fclose(f);
+}
+
 TEST_F(ServerTest, ReactivationRefusesANewerFormatVersion) {
   const std::string dir = FreshDir("evict_newer_version");
   PivotServer server(EvictOpts(dir, 1));
@@ -1259,27 +1272,46 @@ TEST_F(ServerTest, ReactivationRefusesANewerFormatVersion) {
   ASSERT_EQ(server.stats().passivations, 1u);  // s1 is on disk
 
   const std::string wal = server.SessionWalPath("s1");
-  const auto set_version = [&wal](std::uint32_t version) {
-    std::FILE* f = std::fopen(wal.c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    unsigned char bytes[4];
-    for (int i = 0; i < 4; ++i) {
-      bytes[i] = static_cast<unsigned char>(version >> (8 * i));
-    }
-    std::fseek(f, sizeof kWalMagic, SEEK_SET);
-    std::fwrite(bytes, 1, 4, f);
-    std::fclose(f);
-  };
-  set_version(kJournalFormatVersion + 1);
+  SetWalVersion(wal, kJournalFormatVersion + 1);
   const Response refused = server.Execute(Req(ServerOp::kSource, "s1"));
   EXPECT_EQ(refused.status, StatusCode::kPrecondition);
   EXPECT_NE(refused.error.find("newer"), std::string::npos) << refused.error;
   EXPECT_EQ(ScanWal(wal).version, kJournalFormatVersion + 1);  // untouched
 
-  set_version(kJournalFormatVersion);
+  SetWalVersion(wal, kJournalFormatVersion);
   const Response retried = server.Execute(Req(ServerOp::kSource, "s1"));
   ASSERT_EQ(retried.status, StatusCode::kOk) << retried.error;
   EXPECT_EQ(retried.text, Session{Parse(kSource)}.Source());
+}
+
+// The same refusal through kRecover on a fresh server, whose first step
+// aligns the session file against the group log: a newer build's file is
+// refused as it stands, not rewritten from the group log's frames.
+TEST_F(ServerTest, RecoveryOnAFreshServerRefusesANewerFormatVersion) {
+  const std::string dir = FreshDir("recover_newer_version");
+  std::string wal;
+  {
+    PivotServer server(Opts(dir));
+    Request open = Req(ServerOp::kOpen, "s1");
+    open.source = kSource;
+    ASSERT_EQ(server.Execute(open).status, StatusCode::kOk);
+    ASSERT_EQ(server.Execute(ApplyReq("s1", TransformKind::kCfo)).status,
+              StatusCode::kOk);
+    wal = server.SessionWalPath("s1");
+    server.Drain();
+  }
+  SetWalVersion(wal, kJournalFormatVersion + 1);
+
+  PivotServer server(Opts(dir));
+  const Response refused = server.Execute(Req(ServerOp::kRecover, "s1"));
+  EXPECT_EQ(refused.status, StatusCode::kPrecondition);
+  EXPECT_NE(refused.error.find("newer"), std::string::npos) << refused.error;
+  EXPECT_EQ(ScanWal(wal).version, kJournalFormatVersion + 1);  // untouched
+
+  SetWalVersion(wal, kJournalFormatVersion);
+  const Response retried = server.Execute(Req(ServerOp::kRecover, "s1"));
+  ASSERT_EQ(retried.status, StatusCode::kOk) << retried.error;
+  EXPECT_EQ(retried.value, 1u);  // the apply replayed
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
-#include <functional>
 #include <set>
-#include <thread>
 #include <unordered_set>
 
 #include "pivot/support/bitset.h"
@@ -12,7 +8,6 @@
 #include "pivot/support/ids.h"
 #include "pivot/support/rng.h"
 #include "pivot/support/table.h"
-#include "pivot/support/worker_pool.h"
 
 namespace pivot {
 namespace {
@@ -218,91 +213,6 @@ TEST(Table, ShortRowsArePadded) {
   TextTable t({"A", "B", "C"});
   t.AddRow({"x"});
   EXPECT_NO_THROW(t.Render());
-}
-
-// --- worker pool ---
-
-TEST(WorkerPool, PropagatesATaskExceptionFromThePool) {
-  WorkerPool pool(4);
-  EXPECT_THROW(
-      pool.ParallelFor(64,
-                       [](std::size_t i) {
-                         if (i == 13) throw ProgramError("task 13 failed");
-                       }),
-      ProgramError);
-  // The pool survives the failed burst and runs the next one normally.
-  std::atomic<int> done{0};
-  pool.ParallelFor(64, [&](std::size_t) { ++done; });
-  EXPECT_EQ(done.load(), 64);
-}
-
-TEST(WorkerPool, PropagatesATaskExceptionFromRunAll) {
-  std::vector<std::function<void()>> tasks;
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 16; ++i) {
-    tasks.push_back([&ran, i] {
-      if (i == 3) throw ProgramError("task 3 failed");
-      ++ran;
-    });
-  }
-  EXPECT_THROW(WorkerPool::RunAll(std::move(tasks), 4), ProgramError);
-}
-
-TEST(WorkerPool, InlinePathStopsAtTheFirstFailure) {
-  WorkerPool pool(1);  // no workers: ParallelFor runs inline, in order
-  int executed = 0;
-  EXPECT_THROW(pool.ParallelFor(100,
-                                [&](std::size_t i) {
-                                  ++executed;
-                                  if (i == 0) throw ProgramError("boom");
-                                }),
-               ProgramError);
-  EXPECT_EQ(executed, 1);
-}
-
-TEST(WorkerPool, FailureIsFailFast) {
-  // A burst of 100k tasks whose very first index throws: once the failure
-  // is flagged, no new indices may be claimed, so only a small prefix
-  // (bounded by the claim race, not the index space) ever runs.
-  WorkerPool pool(4);
-  std::atomic<int> executed{0};
-  const std::size_t n = 100000;
-  EXPECT_THROW(pool.ParallelFor(n,
-                                [&](std::size_t i) {
-                                  ++executed;
-                                  if (i == 0) throw ProgramError("early");
-                                }),
-               ProgramError);
-  EXPECT_LT(static_cast<std::size_t>(executed.load()), n / 2);
-}
-
-TEST(WorkerPool, RunAllIsFailFast) {
-  // Task 0 throws; every other task first waits until that throw has
-  // started, then takes a millisecond. A fail-fast pool stops claiming as
-  // soon as the exception reaches its handler, so only the few tasks
-  // claimed during the unwind run; a pool that ignored the failure would
-  // run all of them. The wait keeps the others from racing ahead of a
-  // thrower that is slow to be scheduled, and the millisecond bounds how
-  // many they can claim while it unwinds by wall time, not CPU speed:
-  // passing n/2 would take the thrower ~0.7 s to reach its handler.
-  std::vector<std::function<void()>> tasks;
-  std::atomic<int> executed{0};
-  std::atomic<bool> thrown{false};
-  const int n = 4000;
-  for (int i = 0; i < n; ++i) {
-    tasks.push_back([&executed, &thrown, i] {
-      ++executed;
-      if (i == 0) {
-        thrown.store(true);
-        thrown.notify_all();
-        throw ProgramError("early");
-      }
-      thrown.wait(false);
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    });
-  }
-  EXPECT_THROW(WorkerPool::RunAll(std::move(tasks), 4), ProgramError);
-  EXPECT_LT(executed.load(), n / 2);
 }
 
 }  // namespace

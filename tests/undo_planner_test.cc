@@ -225,47 +225,6 @@ TEST(DepthGuard, ReportSurfacesExhaustionCount) {
             std::string::npos);
 }
 
-// --- parallel safety checking ---
-
-TEST(ParallelSafety, MatchesSequentialDecisions) {
-  UndoOptions parallel_options;
-  parallel_options.safety_threads = 4;
-  Session par(Parse(kSection52), parallel_options);
-  Session seq(Parse(kSection52));
-  for (Session* s : {&par, &seq}) {
-    ASSERT_TRUE(s->ApplyFirst(TransformKind::kCse).has_value());
-    ASSERT_TRUE(s->ApplyFirst(TransformKind::kCtp).has_value());
-    ASSERT_TRUE(s->ApplyFirst(TransformKind::kInx).has_value());
-    ASSERT_TRUE(s->ApplyFirst(TransformKind::kIcm).has_value());
-  }
-  // Undo the earliest (CSE): the scan examines every later candidate.
-  const UndoStats par_stats = par.Undo(1);
-  const UndoStats seq_stats = seq.Undo(1);
-  EXPECT_EQ(par.Source(), seq.Source());
-  EXPECT_EQ(Surviving(par), Surviving(seq));
-  EXPECT_EQ(par_stats.transforms_undone, seq_stats.transforms_undone);
-  EXPECT_EQ(par_stats.safety_checks, seq_stats.safety_checks);
-  EXPECT_EQ(par_stats.candidates_marked, seq_stats.candidates_marked);
-  // Speculative evaluations cover at least everything consumed.
-  EXPECT_GE(par_stats.safety_checks_parallel, par_stats.safety_checks);
-  EXPECT_EQ(seq_stats.safety_checks_parallel, 0);
-}
-
-TEST(ParallelSafety, FuzzScheduleConvergesUnderThreads) {
-  ReplayOptions opts;
-  opts.session.undo.safety_threads = 4;
-  FuzzGenOptions gen;
-  gen.num_steps = 40;
-  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    FaultInjector::Instance().Reset();
-    const FuzzCase c = GenerateFuzzCase(seed, gen);
-    const ReplayResult r = ReplayFuzzCase(c, opts);
-    EXPECT_TRUE(r.ok) << "seed " << seed << " failed at step "
-                      << r.failing_step << ": " << r.failure;
-  }
-  FaultInjector::Instance().Reset();
-}
-
 // --- linear (non-indexed) engine stays equivalent: the A/B handle the
 // benchmarks rely on must not drift semantically ---
 
