@@ -56,7 +56,7 @@ int ApplyFolds(Session& s, int n) {
 std::string TmpWalPath() { return "/tmp/pivot_bench_journal.wal"; }
 
 // Leaves durability to the kernel (see JournalAck).
-const JournalAck kNoSync = [](FrameType, const std::string&) {};
+const JournalAck kNoSync = [](FrameType, WalWriter&) {};
 
 std::uint64_t FileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary | std::ios::ate);

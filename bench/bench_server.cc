@@ -1,10 +1,11 @@
 // Server throughput study: what group commit buys (DESIGN.md §12), what
 // session passivation costs (§15), and what the socket transports add.
 //
-// BENCH_journal puts one durable commit at ~145 µs, almost all fsync(2).
+// BENCH_journal puts one durable commit at ~145 µs, almost all the sync.
 // With N concurrent sessions committing, per-commit fsync serializes N
-// syncs behind the journal locks; the group-commit log batches every
-// in-flight frame into one fsync. The first study drives C client threads
+// syncs behind the journal locks; group commit makes every in-flight
+// frame durable with one sync (fdatasync of the one file a batch touches,
+// or one syncfs of the data dir). The first study drives C client threads
 // (each its own hosted session, alternating apply/undo commits through
 // PivotServer::Execute) in both modes and reports txn/s:
 //

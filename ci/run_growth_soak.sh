@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
-# Journal-growth soak: proves the two retention mechanisms keep journal
-# files tracking live state instead of accumulating every frame ever
-# written (DESIGN.md §13). Two phases, driven by tools/growth_soak.cc,
-# each running its workload with the growth fix off and on and gating on
-# the byte ratio:
+# Journal-growth soak: proves journal compaction keeps a journal file
+# tracking live state instead of accumulating every frame ever written
+# (DESIGN.md §13), then checks the server under many committing clients.
+# Two phases, driven by tools/growth_soak.cc:
 #
 #   * session phase — PIVOT_GROWTH_OPS (default 10000) apply/undo commits
 #     against one DurableJournal with snapshots, compaction off vs on; the
@@ -11,13 +10,11 @@
 #     final size, and the compacted journal must recover cleanly to the
 #     same source;
 #   * server phase — PIVOT_GROWTH_CLIENTS (default 64) threads committing
-#     PIVOT_GROWTH_CLIENT_OPS (default 256) ops each, server.gwal
-#     retention off vs on; the retained log's peak must stay >= 2x below
-#     the unretained one, a quiesced explicit pass must reclaim it below
-#     the retention threshold, and a restart must recover all sessions.
+#     PIVOT_GROWTH_CLIENT_OPS (default 256) ops each under group commit;
+#     a restart must recover every session to its committed state.
 #
 # Meant to run inside the sanitizer job (ci/run_sanitizers.sh) so ASan
-# watches the retention passes racing live commit traffic.
+# watches compaction and the group-commit worker under sustained load.
 #
 # Usage: ci/run_growth_soak.sh [build-dir]    (default: build-asan)
 set -euo pipefail
@@ -33,4 +30,4 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" --target growth_soak
 
 "$BUILD_DIR"/tools/growth_soak
 
-echo "growth soak complete: journal and group log stay bounded under sustained load"
+echo "growth soak complete: compacted journal stays bounded; every server session recovers"

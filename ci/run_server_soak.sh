@@ -4,8 +4,8 @@
 #
 #   * the deterministic crash sweep (tests/server_crash_test.cc): every
 #     server.* fault point — torn session-WAL frames, the gap between the
-#     session append and the group enqueue, torn group-log frames, the
-#     post-fsync/pre-ack window, snapshots, reconciliation — crossed at
+#     session append and the group enqueue, a batch written but not yet
+#     synced, the post-sync/pre-ack window, snapshots — crossed at
 #     every countdown, each time restarting the server over the same data
 #     directory and asserting both sessions recover to exactly the acked
 #     (or acked + the single in-flight) prefix;

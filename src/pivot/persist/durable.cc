@@ -109,7 +109,7 @@ std::unique_ptr<DurableJournal> DurableJournal::Create(
         EncodeGenesis(session.options(), session.Source());
     writer.AppendFrame(FrameType::kGenesis, genesis, /*fsync=*/!ack,
                        "persist.genesis");
-    if (ack) ack(FrameType::kGenesis, genesis);
+    if (ack) ack(FrameType::kGenesis, writer);
     auto journal = std::unique_ptr<DurableJournal>(
         new DurableJournal(session, path, std::move(lock), std::move(writer),
                            options, std::move(ack)));
@@ -160,22 +160,10 @@ std::unique_ptr<DurableJournal> DurableJournal::Attach(
                          WalWriter::Append(path), options, std::move(ack)));
   std::uint64_t txns = 0;
   for (const WalFrame& frame : scan.frames) {
-    if (frame.type == FrameType::kTxn) {
-      ++txns;
-    } else if (frame.type == FrameType::kSnapshot) {
-      ++journal->snapshots_;
-      // Compaction pushes dropped txn frames into the snapshots' base
-      // clause; the largest one is the file's offset into the session's
-      // absolute history. A body that does not decode was already
-      // reported (and ignored) by recovery.
-      try {
-        journal->base_ =
-            std::max(journal->base_, DecodeSnapshotBody(frame.body).base);
-      } catch (const ProgramError&) {
-      }
-    }
+    if (frame.type == FrameType::kTxn) ++txns;
+    if (frame.type == FrameType::kSnapshot) ++journal->snapshots_;
   }
-  journal->txns_.store(journal->base_ + txns);
+  journal->txns_ = txns;
   // Snapshot cadence resumes from the snapshot recovery actually uses, not
   // merely the last snapshot-typed frame: a trailing frame that fails to
   // decode must not defer the next snapshot a full interval while
@@ -214,17 +202,17 @@ void DurableJournal::Append(FrameType type, const std::string& body,
                         type == FrameType::kTxn ? "persist.txn"
                                                 : "persist.snapshot");
   } catch (const FaultInjectedError&) {
-    broken_.store(true, std::memory_order_release);
+    broken_ = true;
     throw;
   } catch (const ProgramError& e) {
-    broken_.store(true, std::memory_order_release);
+    broken_ = true;
     throw JournalWriteError(e.what());
   }
   if (type != FrameType::kTxn || !ack_) return;
   try {
-    ack_(type, body);
+    ack_(type, writer_);
   } catch (const FaultInjectedError&) {
-    broken_.store(true, std::memory_order_release);
+    broken_ = true;
     throw;
   } catch (...) {
     // Not acknowledged: the session rolls the operation back, so the
@@ -232,7 +220,7 @@ void DurableJournal::Append(FrameType type, const std::string& body,
     try {
       writer_.TruncateTo(pre);
     } catch (...) {
-      broken_.store(true, std::memory_order_release);
+      broken_ = true;
     }
     throw;
   }
@@ -245,8 +233,7 @@ void DurableJournal::OnCommit(const TxnDescriptor& desc) {
   // after replaying the frame.
   Append(FrameType::kTxn, EncodeTxn(desc, ComputeDigest(session_)),
          /*fsync=*/!ack_);
-  // Published only once the frame is written and acked (SyncDurableTxns).
-  txns_.fetch_add(1, std::memory_order_release);
+  ++txns_;
   ++since_snapshot_;
 }
 
@@ -260,62 +247,54 @@ void DurableJournal::OnCommitted(const TxnDescriptor& desc) {
   }
   try {
     WriteSnapshot(/*fsync=*/!ack_);
+    if (options_.compact) Compact();
   } catch (const JournalWriteError&) {
-    return;  // the commit stands; the poisoned journal refuses the next
+    // The commit stands; the poisoned journal refuses the next.
   }
-  if (options_.compact) Compact();
 }
 
 void DurableJournal::WriteSnapshot(bool fsync) {
   PIVOT_FAULT_POINT("persist.snapshot.pre");
-  const std::uint64_t txns = txns_.load(std::memory_order_relaxed);
   Append(FrameType::kSnapshot,
-         EncodeSnapshotBody(txns - base_, EncodeSessionImage(session_),
-                            base_),
-         fsync);
+         EncodeSnapshotBody(txns_, EncodeSessionImage(session_)), fsync);
   since_snapshot_ = 0;
   ++snapshots_;
 }
 
-std::uint64_t DurableJournal::SyncDurableTxns() {
+void DurableJournal::Checkpoint() {
   ThrowIfBroken();
-  const std::uint64_t covered = txns_.load(std::memory_order_acquire);
+  if (since_snapshot_ > 0) {
+    WriteSnapshot(/*fsync=*/true);
+    return;
+  }
   try {
     writer_.Sync();
   } catch (const ProgramError& e) {
-    broken_.store(true, std::memory_order_release);
+    broken_ = true;
     throw JournalWriteError(e.what());
   }
-  return covered;
-}
-
-std::uint64_t DurableJournal::Checkpoint() {
-  if (since_snapshot_ == 0) return SyncDurableTxns();
-  ThrowIfBroken();
-  WriteSnapshot(/*fsync=*/true);
-  return txns_.load(std::memory_order_acquire);
 }
 
 void DurableJournal::Compact() {
   ThrowIfBroken();
+  std::uint64_t dropped = 0;
   try {
-    const std::uint64_t dropped = CompactJournalFile(path_);
+    dropped = CompactJournalFile(path_);
     if (dropped == 0) return;
     // The old fd now references the replaced (unlinked) inode; swap it for
-    // one opened on the new file. The file changed under the writer, so
-    // failing to reopen it poisons the journal.
-    try {
-      writer_ = WalWriter::Append(path_);
-    } catch (...) {
-      broken_.store(true, std::memory_order_release);
-      throw;
-    }
-    base_ += dropped;
-    ++compactions_;
+    // one opened on the new file.
+    writer_ = WalWriter::Append(path_);
   } catch (const FaultInjectedError&) {
-    broken_.store(true, std::memory_order_release);
+    broken_ = true;
     throw;
+  } catch (const ProgramError& e) {
+    // The rewrite failed, or its rename could not be synced or reopened:
+    // the disk is failing, and the writer may hold a replaced file.
+    broken_ = true;
+    throw JournalWriteError(e.what());
   }
+  txns_ -= dropped;
+  ++compactions_;
 }
 
 std::uint64_t CompactJournalFile(const std::string& path) {
@@ -350,12 +329,12 @@ std::uint64_t CompactJournalFile(const std::string& path) {
   // Rewrite to <path>.compact: genesis, then the anchor and the txn and
   // snapshot frames after it, with covered counts rebased by the dropped
   // txns (retired kRetiredDelta frames are dropped too: the txns they
-  // summarized are all still here). The tmp is fsynced before the rename
+  // summarized are all still here). The tmp is synced before the rename
   // — the rename is the commit point, so a crash at any byte leaves
   // either the complete old journal or the complete new one.
   const std::string tmp = path + ".compact";
   try {
-    WalWriter out = WalWriter::Create(tmp);
+    WalWriter out = WalWriter::Create(tmp, /*sync_dir=*/false);
     out.AppendFrame(FrameType::kGenesis, scan.frames[0].body, false,
                     "persist.compact.genesis");
     for (std::size_t i = anchor; i < scan.frames.size(); ++i) {
@@ -365,13 +344,12 @@ std::uint64_t CompactJournalFile(const std::string& path) {
                         "persist.compact.txn");
       } else if (frame.type == FrameType::kSnapshot) {
         // Covered counts are file-relative: rebase them by the dropped
-        // prefix, and push the drop into the cumulative base so absolute
-        // txn indices stay recoverable (see persist/wire.h).
-        SnapshotBody body = DecodeSnapshotBody(frame.body);
-        body.txns = body.txns >= dropped ? body.txns - dropped : 0;
+        // prefix.
+        const SnapshotBody body = DecodeSnapshotBody(frame.body);
         out.AppendFrame(
             FrameType::kSnapshot,
-            EncodeSnapshotBody(body.txns, body.payload, body.base + dropped),
+            EncodeSnapshotBody(body.txns >= dropped ? body.txns - dropped : 0,
+                               body.payload),
             false, "persist.compact.snapshot");
       }
     }
@@ -390,6 +368,10 @@ std::uint64_t CompactJournalFile(const std::string& path) {
     std::remove(tmp.c_str());
     throw;
   }
+  // Appends after this land in the new file only: its name must be as
+  // durable as they are. A failure here leaves a complete journal under
+  // the name either way, so it only reaches the caller.
+  SyncParentDir(path);
   PIVOT_FAULT_POINT("persist.compact.rename.post");
   return dropped;
 }

@@ -2,8 +2,9 @@
 // every committed operation as a checksummed frame *before* the in-memory
 // commit is acknowledged, plus crash-consistent recovery. It is the only
 // writer of session journals: a standalone session uses it with the
-// default ack (fsync the file), and the server (server/server.h) with an
-// ack that blocks on its group-commit log.
+// default ack (sync the file after every frame), and the server
+// (server/server.h) with an ack that hands the file to its group-commit
+// worker and blocks until the worker has synced it.
 //
 // Protocol per operation (see core/commit_hook.h):
 //   OnCommit    — append the txn frame and run the ack (see JournalAck);
@@ -17,15 +18,16 @@
 //
 // Failure policy, one rule per case:
 //   * a write fault on an attached journal — any permanent write(2) or
-//     fsync(2) failure of a txn frame, a snapshot, or SyncDurableTxns —
-//     poisons it: the file may now end mid-frame, and frames appended
-//     behind a tear would be invisible to the scanner. The call throws
-//     JournalWriteError and so does every later commit; recover the file
-//     to go on. A txn frame's operation is rolled back by the session; a
-//     snapshot fault after a commit does not fail that commit (it is
-//     already durable and acknowledged) — the next commit reports it;
+//     sync failure of a txn frame, a snapshot, a Checkpoint or a
+//     compaction — poisons it: the file may now end mid-frame, and frames
+//     appended behind a tear would be invisible to the scanner. The call
+//     throws JournalWriteError and so does every later commit; recover the
+//     file to go on. A txn frame's operation is rolled back by the
+//     session; a snapshot or compaction fault after a commit does not
+//     fail that commit (it is already durable and acknowledged) — the
+//     next commit reports it;
 //   * an ack that refuses a written txn frame (overload, deadline, a
-//     failed group log) rolls the frame back off the file (ftruncate to
+//     failed group sync) rolls the frame back off the file (ftruncate to
 //     where it started) and rethrows the ack's error: nothing was
 //     acknowledged, the session rolls the operation back, and the journal
 //     stays usable. Only if the rollback fails is the journal poisoned;
@@ -42,7 +44,6 @@
 #ifndef PIVOT_PERSIST_DURABLE_H_
 #define PIVOT_PERSIST_DURABLE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -69,15 +70,17 @@ struct PersistOptions {
 };
 
 // What makes a genesis or txn frame durable before the operation it
-// carries is acknowledged. Empty (the default): the journal fsyncs its own
+// carries is acknowledged. Empty (the default): the journal syncs its own
 // file after every frame, snapshots included. Otherwise the journal
-// appends without fsync and calls the ack with the frame just written; the
-// ack returns once the frame is durable elsewhere (the server's group-
-// commit log) or throws to fail the operation. A no-op ack leaves
-// durability to the kernel — the frame order stays correct, but a power
-// failure may lose the tail (benchmarks use it to leave fsync cost out).
-using JournalAck =
-    std::function<void(FrameType type, const std::string& body)>;
+// appends without syncing and calls the ack with the type of the frame
+// just written and the writer holding it; the ack returns once the file
+// is durable up to that frame (the server's group-commit worker syncs it,
+// batched with other sessions' files) or throws to fail the operation.
+// The writer is only the ack's to sync, and only until it returns. A
+// no-op ack leaves durability to the kernel — the frame order stays
+// correct, but a power failure may lose the tail (benchmarks use it to
+// leave sync cost out).
+using JournalAck = std::function<void(FrameType type, WalWriter& writer)>;
 
 // A permanent write fault on an attached journal (transient retries
 // exhausted; see persist/wal.h), or a commit refused by a poisoned
@@ -130,32 +133,20 @@ class DurableJournal final : public CommitListener {
 
   // Poisoned by a write fault or an injected crash (see the failure
   // policy): no further frame may be appended. Recover the file instead.
-  bool broken() const { return broken_.load(std::memory_order_acquire); }
+  bool broken() const { return broken_; }
 
   // Txn frames in the file (compaction rebases this count).
-  std::uint64_t txns_written() const { return txns_.load() - base_; }
+  std::uint64_t txns_written() const { return txns_; }
   std::uint64_t snapshots_written() const { return snapshots_; }
   std::uint64_t compactions() const { return compactions_; }
   // Current journal file size (the next append offset).
   std::uint64_t journal_bytes() const { return writer_.offset(); }
 
-  // fsyncs the file and returns the absolute number of committed txns
-  // (compacted-away ones included) that fsync provably covers. Safe to
-  // call from another thread while the owner commits, without the session
-  // lock: a txn is counted only after its write(2) returned, so every
-  // frame behind the pre-read count is in the file, and the fsync —
-  // racing at most with a LATER append — makes at least those durable.
-  // Must not race Compact(), which swaps the file. Throws
-  // JournalWriteError when poisoned or on a permanent fsync fault (which
-  // poisons).
-  std::uint64_t SyncDurableTxns();
-
   // Makes the file the sole authority for the session's state: a final
-  // snapshot fsynced to the file (a bare fsync when the last snapshot
-  // already covers everything). Returns the absolute count it made
-  // durable, as SyncDurableTxns. Throws JournalWriteError on a permanent
-  // fault.
-  std::uint64_t Checkpoint();
+  // snapshot synced to the file (a bare sync when the last snapshot
+  // already covers everything). Throws JournalWriteError when poisoned or
+  // on a permanent fault (which poisons).
+  void Checkpoint();
 
   // Rewrites the journal down to genesis + the latest snapshot + the
   // frames after it (CompactJournalFile) and reopens the file. Runs
@@ -186,28 +177,23 @@ class DurableJournal final : public CommitListener {
   WalWriter writer_;
   const PersistOptions options_;
   const JournalAck ack_;
-  // Committed txns of the session's whole history: the txn frames in the
-  // file plus base_, the frames compaction dropped from beneath it (the
-  // `base` clause of its snapshots; see persist/wire.h). One atomic, so
-  // SyncDurableTxns reads a consistent count without the session lock.
-  std::atomic<std::uint64_t> txns_{0};
-  std::uint64_t base_ = 0;
+  // Txn frames in the file: committed txns minus those compaction dropped.
+  std::uint64_t txns_ = 0;
   std::uint64_t since_snapshot_ = 0;
   std::uint64_t snapshots_ = 0;
   std::uint64_t compactions_ = 0;
-  std::atomic<bool> broken_{false};
+  bool broken_ = false;
 };
 
 // Rewrites the journal at `path` down to genesis + its newest snapshot +
 // the frames after it, dropping every txn frame the snapshot covers, and
 // returns how many it dropped (0 = nothing to do: no snapshot, an anchor
 // the preceding frames do not corroborate, or a file that is not a clean
-// journal — left for recovery). Dropped counts are pushed into the kept
-// snapshots' `base` clause so absolute txn indices stay recoverable. The
-// rewrite goes to `<path>.compact`, is fsynced, and is renamed over the
-// journal atomically: a crash at any point (the persist.compact.* fault
-// points) leaves the complete old file or the complete new one, and a
-// stale tmp is removed by the next attach or recovery. The caller holds
+// journal — left for recovery). The rewrite goes to `<path>.compact`, is
+// synced, and is renamed over the journal atomically, and the rename is
+// synced to the directory: a crash at any point (the persist.compact.*
+// fault points) leaves the complete old file or the complete new one, and
+// a stale tmp is removed by the next attach or recovery. The caller holds
 // the journal's flock and no writer may append meanwhile.
 std::uint64_t CompactJournalFile(const std::string& path);
 

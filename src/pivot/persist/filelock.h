@@ -5,8 +5,8 @@
 // a stale instance, or an operator running Recover against a journal a
 // daemon still owns. Every journal `<path>` therefore has a companion lock
 // file `<path>.lock` held with flock(2) LOCK_EX for as long as a writer
-// (DurableJournal — standalone or a server session's — or the group-commit
-// log) or a recovery pass owns the journal. flock locks conflict per open file
+// (DurableJournal — standalone or a server session's) or a recovery pass
+// owns the journal; a server holds `<data_dir>/server.lock` the same way. flock locks conflict per open file
 // description, so the guard works between processes *and* between two
 // owners inside one process; they evaporate when the holder dies, so a
 // crashed process never leaves a stale lock behind.

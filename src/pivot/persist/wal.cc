@@ -48,9 +48,32 @@ void BackoffSleep(int failed_attempts) {
   std::this_thread::sleep_for(std::chrono::microseconds(1 << exp));
 }
 
+// Runs one sync call (fdatasync, fsync, syncfs) under the transient-fault
+// policy: EINTR/EAGAIN are retried with backoff until kMaxIoAttempts, and
+// "wal.fsync.transient" injects one such failure per consultation.
+void RetrySync(int fd, int (*sync)(int), const char* what) {
+  int failed_attempts = 0;
+  for (;;) {
+    int rc;
+    if (FaultInjector::Instance().FailTransient("wal.fsync.transient")) {
+      rc = -1;
+      errno = EINTR;
+    } else {
+      rc = sync(fd);
+    }
+    if (rc == 0) return;
+    if (!TransientErrno(errno)) IoError(std::string(what) + " failed");
+    if (++failed_attempts >= kMaxIoAttempts) {
+      IoError(std::string(what) + " failed (transient errors exhausted " +
+              std::to_string(kMaxIoAttempts) + " attempts)");
+    }
+    BackoffSleep(failed_attempts);
+  }
+}
+
 }  // namespace
 
-WalWriter WalWriter::Create(const std::string& path) {
+WalWriter WalWriter::Create(const std::string& path, bool sync_dir) {
   // O_APPEND matters beyond Append(): after a TruncateTo rollback every
   // write must land at the new physical end. A plain O_WRONLY fd would
   // keep its pre-truncate position and punch a zero-filled hole, silently
@@ -63,6 +86,12 @@ WalWriter WalWriter::Create(const std::string& path) {
   PutU32(header, kJournalFormatVersion);
   w.WriteAll(header.data(), header.size());
   w.Sync();
+  if (sync_dir) {
+    // Nothing else holds a copy of the journal, so its directory entry
+    // must be as durable as its first frame.
+    SyncParentDir(path);
+    PIVOT_FAULT_POINT("persist.create.dir.synced");
+  }
   return w;
 }
 
@@ -130,23 +159,7 @@ void WalWriter::WriteAll(const void* data, std::size_t len) {
 }
 
 void WalWriter::Sync(const std::string& point) {
-  int failed_attempts = 0;
-  for (;;) {
-    int rc;
-    if (FaultInjector::Instance().FailTransient("wal.fsync.transient")) {
-      rc = -1;
-      errno = EINTR;
-    } else {
-      rc = ::fsync(fd_);
-    }
-    if (rc == 0) break;
-    if (!TransientErrno(errno)) IoError("fsync failed");
-    if (++failed_attempts >= kMaxIoAttempts) {
-      IoError("fsync failed (transient errors exhausted " +
-              std::to_string(kMaxIoAttempts) + " attempts)");
-    }
-    BackoffSleep(failed_attempts);
-  }
+  RetrySync(fd_, ::fdatasync, "fdatasync");
   if (!point.empty()) PIVOT_FAULT_POINT(point.c_str());
 }
 
@@ -256,6 +269,27 @@ void TruncateWal(const std::string& path, std::uint64_t valid_bytes) {
   if (::truncate(path.c_str(), static_cast<off_t>(valid_bytes)) != 0) {
     IoError("truncate failed");
   }
+}
+
+void SyncParentDir(const std::string& path) {
+  const std::size_t slash = path.rfind('/');
+  const std::string dir = slash == std::string::npos ? "."
+                          : slash == 0               ? "/"
+                                                     : path.substr(0, slash);
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) IoError("cannot open directory " + dir);
+  try {
+    RetrySync(fd, ::fsync, "directory fsync");
+  } catch (...) {
+    ::close(fd);
+    throw;
+  }
+  ::close(fd);
+}
+
+void SyncFileSystem(int dir_fd, const std::string& point) {
+  RetrySync(dir_fd, ::syncfs, "syncfs");
+  if (!point.empty()) PIVOT_FAULT_POINT(point.c_str());
 }
 
 }  // namespace pivot

@@ -15,7 +15,7 @@
 // calls with fault points between them, so an injected crash leaves a
 // genuinely torn frame on disk — exactly what a real crash mid-write does.
 //
-// Transient-fault policy: every write(2) and fsync(2) runs inside a retry
+// Transient-fault policy: every write(2) and sync call runs inside a retry
 // loop that absorbs EINTR, EAGAIN and short writes with a small bounded
 // backoff (kMaxIoAttempts attempts). Only when the budget is exhausted —
 // or the errno is not transient — does the call throw ProgramError; a
@@ -43,17 +43,16 @@ namespace pivot {
 //       there, hence the bump: old readers refuse loudly instead). No
 //       longer written; see kRetiredDelta;
 //   3 — snapshot bodies may carry a "base <n>" clause (cumulative txn
-//       frames dropped from beneath the file by compaction; see
-//       persist/wire.h). A version-2 reader would parse the covered count
-//       and silently IGNORE the base, mis-aligning the server's gwal
-//       reconciliation — hence the bump. Version-3 readers accept older
-//       files unchanged (base defaults to 0).
+//       frames dropped from beneath the file by compaction). Older
+//       servers aligned their group log against it; current builds no
+//       longer write it, and the decoder still accepts it, so version-3
+//       files recover unchanged.
 inline constexpr std::uint32_t kJournalFormatVersion = 3;
 
 inline constexpr char kWalMagic[8] = {'P', 'I', 'V', 'O',
                                       'T', 'W', 'A', 'L'};
 
-// Attempts per write(2)/fsync(2) before a transient failure is escalated
+// Attempts per write(2)/sync call before a transient failure is escalated
 // to ProgramError (see the transient-fault policy above).
 inline constexpr int kMaxIoAttempts = 16;
 
@@ -62,9 +61,8 @@ enum class FrameType : unsigned char {
   kTxn = 2,       // one committed transaction (a TxnDescriptor + digest)
   kSnapshot = 3,  // full session image; recovery replays only frames after
                   // the last valid snapshot
-  kGroup = 4,     // group-commit log envelope: (session, frame type, frame
-                  // body) or a retention mark; only appears in a server's
-                  // shared server.gwal
+  // 4 is reserved: older servers wrote group-log envelopes with it, in a
+  // shared server.gwal that current builds refuse (see server/server.h).
   kRetiredDelta = 5,  // a snapshot image encoded as a delta against the
                       // previous one, written by older builds. Still a
                       // valid frame (so an old journal keeps its tail),
@@ -78,8 +76,11 @@ enum class FrameType : unsigned char {
 class WalWriter {
  public:
   // Both throw ProgramError when the file cannot be opened. Create writes
-  // the file header (magic + version).
-  static WalWriter Create(const std::string& path);
+  // the file header (magic + version) and syncs it; with `sync_dir` it then
+  // syncs the parent directory so the new name survives a power loss
+  // (crossing "persist.create.dir.synced"). A tmp file that is renamed
+  // into place later skips that: the rename is what must be made durable.
+  static WalWriter Create(const std::string& path, bool sync_dir = true);
   static WalWriter Append(const std::string& path);
 
   WalWriter(WalWriter&& other) noexcept;
@@ -102,9 +103,11 @@ class WalWriter {
   void AppendFrame(FrameType type, const std::string& body, bool fsync,
                    const std::string& point_prefix);
 
-  // fsync(2) with the transient retry loop; crosses "<point>" after the
-  // sync when `point` is non-empty (group commit's crash point between
-  // batch durability and client acknowledgement).
+  // fdatasync(2) with the transient retry loop; crosses "<point>" after
+  // the sync when `point` is non-empty (group commit's crash point between
+  // batch durability and client acknowledgement). The journal is
+  // append-only, so fdatasync's size update is all the metadata a reader
+  // needs.
   void Sync(const std::string& point = {});
 
   // File offset appends go to next (header included). Lets a caller record
@@ -152,6 +155,15 @@ WalScanResult ScanWal(const std::string& path);
 
 // Cuts the file down to its valid prefix. Throws ProgramError on I/O error.
 void TruncateWal(const std::string& path, std::uint64_t valid_bytes);
+
+// fsync(2) of the directory holding `path`, so a created or renamed entry
+// there is durable. Same retry loop as WalWriter::Sync.
+void SyncParentDir(const std::string& path);
+
+// syncfs(2) of the filesystem holding the open directory `dir_fd`: one
+// call makes every file written there durable. Same retry loop and
+// fault-point style as WalWriter::Sync.
+void SyncFileSystem(int dir_fd, const std::string& point = {});
 
 }  // namespace pivot
 

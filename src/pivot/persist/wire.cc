@@ -120,13 +120,8 @@ GenesisInfo DecodeGenesis(const std::string& body) {
   return info;
 }
 
-std::string EncodeSnapshotBody(std::uint64_t txns, const std::string& payload,
-                               std::uint64_t base) {
-  std::string prefix = "txns " + std::to_string(txns);
-  // Omitted when zero: an uncompacted file stays byte-identical to the
-  // version-2 encoding.
-  if (base > 0) prefix += " base " + std::to_string(base);
-  return prefix + "\n" + payload;
+std::string EncodeSnapshotBody(std::uint64_t txns, const std::string& payload) {
+  return "txns " + std::to_string(txns) + "\n" + payload;
 }
 
 SnapshotBody DecodeSnapshotBody(const std::string& body) {
@@ -137,16 +132,16 @@ SnapshotBody DecodeSnapshotBody(const std::string& body) {
   std::uint64_t txns = 0;
   is >> tag >> txns;
   if (!is || tag != "txns") Malformed("bad snapshot prefix");
-  SnapshotBody out;
-  out.txns = txns;
   std::string base_tag;
   if (is >> base_tag) {
+    // The retired base clause of older version-3 files: checked, ignored.
     std::uint64_t base = 0;
     if (base_tag != "base" || !(is >> base)) {
       Malformed("bad snapshot base clause");
     }
-    out.base = base;
   }
+  SnapshotBody out;
+  out.txns = txns;
   out.payload = body.substr(newline + 1);
   return out;
 }

@@ -51,24 +51,15 @@ struct GenesisInfo {
 GenesisInfo DecodeGenesis(const std::string& body);  // throws ProgramError
 
 // --- snapshot frame body ---
-// "txns <count>[ base <base>]\n<payload>": the count of txn frames
-// preceding the snapshot IN THIS FILE (so recovery knows how much of the
-// tail the image covers), then the payload: a full session image.
-//
-// `base` is the cumulative number of txn frames that compaction has
-// dropped from beneath this file over its lifetime: the t-th txn frame in
-// the file (0-based) is the (base + t)-th committed transaction of the
-// session's absolute history. Recovery never needs it — everything there
-// is file-relative — but the server's gwal reconciliation aligns session
-// files against the shared group log by ABSOLUTE txn index, which a
-// compacted file can only support by carrying its own offset (format
-// version 3; omitted when zero, so uncompacted files are byte-identical
-// to version 2).
-std::string EncodeSnapshotBody(std::uint64_t txns, const std::string& payload,
-                               std::uint64_t base = 0);
+// "txns <count>\n<payload>": the count of txn frames preceding the
+// snapshot IN THIS FILE (so recovery knows how much of the tail the image
+// covers), then the payload: a full session image. Version-3 files written
+// by older builds may carry a " base <n>" clause after the count (the txn
+// frames compaction had dropped from beneath the file, which their server
+// needed to align its group log); the decoder accepts and ignores it.
+std::string EncodeSnapshotBody(std::uint64_t txns, const std::string& payload);
 struct SnapshotBody {
   std::uint64_t txns = 0;
-  std::uint64_t base = 0;
   std::string payload;
 };
 SnapshotBody DecodeSnapshotBody(const std::string& body);  // throws

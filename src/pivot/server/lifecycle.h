@@ -5,14 +5,12 @@
 // premise — session state is a deterministic function of the journal — is
 // the license to *passivate* an idle session: append one final snapshot,
 // fsync the WAL, release the in-memory Session and its journal, and keep
-// only a stub carrying the acked-transaction watermark. The next request
-// for the name *reactivates* it transparently through the ordinary
-// Session::Recover path (snapshot + tail replay), so clients never observe
-// the eviction beyond latency. Passivation always compacts the WAL down to
-// genesis + snapshot + tail, so a passivated session's disk footprint
-// tracks its live state, not its whole history; the rewrite pushes the
-// dropped txn count into the snapshot's `base` clause (persist/wire.h) so
-// gwal reconciliation still aligns by absolute transaction index.
+// only a stub (the name). The next request for the name *reactivates* it
+// transparently through the ordinary Session::Recover path (snapshot +
+// tail replay), so clients never observe the eviction beyond latency.
+// Passivation always compacts the WAL down to genesis + snapshot + tail,
+// so a passivated session's disk footprint tracks its live state, not its
+// whole history.
 //
 // This header holds the policy knobs and the byte-accounted LRU the server
 // uses to pick victims; the passivation/reactivation machinery itself lives

@@ -24,7 +24,7 @@ constexpr ServerOp kAllOps[] = {
     ServerOp::kClose,   ServerOp::kApply,    ServerOp::kTxn,
     ServerOp::kUndo,    ServerOp::kUndoSet,  ServerOp::kUndoLast,
     ServerOp::kCanUndo, ServerOp::kSource,   ServerOp::kHistory,
-    ServerOp::kStats,   ServerOp::kSleep,    ServerOp::kCompact,
+    ServerOp::kStats,   ServerOp::kSleep,    ServerOp::kRetiredCompact,
     ServerOp::kShutdown,
 };
 
@@ -157,7 +157,7 @@ const char* ServerOpName(ServerOp op) {
     case ServerOp::kHistory: return "history";
     case ServerOp::kStats: return "stats";
     case ServerOp::kSleep: return "sleep";
-    case ServerOp::kCompact: return "compact";
+    case ServerOp::kRetiredCompact: return "compact";
     case ServerOp::kShutdown: return "shutdown";
   }
   return "?";

@@ -34,7 +34,7 @@ inline constexpr std::uint32_t kMaxMessageBytes = 64u << 20;
 enum class ServerOp {
   kPing = 0,
   kOpen,      // create a session from inline source (refuses existing WALs)
-  kRecover,   // reconcile + recover a session's WAL from disk and host it
+  kRecover,   // recover a session's WAL from disk and host it
   kClose,     // stop hosting (the WAL stays for a later kRecover)
   kApply,     // apply opportunity [op_index] of a transform kind
   kTxn,       // replay a persist/wire TxnDescriptor (applies, undos, edits)
@@ -47,8 +47,9 @@ enum class ServerOp {
   kStats,     // server-wide counters, mode, group-commit statistics
   kSleep,     // test-only: hold the session lock for N ms (admission /
               // deadline tests); refused unless ServerOptions enables it
-  kCompact,   // gwal retention pass: fsync session WALs, then drop group
-              // frames already durable in them
+  kRetiredCompact,  // was the group-log retention pass; the slot keeps
+                    // kShutdown's wire value, the server answers
+                    // kBadRequest
   kShutdown,  // graceful drain
 };
 

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #include "pivot/ir/parser.h"
 #include "pivot/persist/wire.h"
@@ -93,22 +94,11 @@ struct PivotServer::Hosted {
   // Serializes operations on this session; timed so a deadline bounds the
   // wait for a busy session instead of queueing forever.
   std::timed_mutex mu;
+  // Both null in a passivated stub. Guarded by mu.
   std::unique_ptr<Session> session;
-  // `journal` is assigned/reset under BOTH mu and retention_mu; the gwal
-  // retention pass reads it under retention_mu alone, so it never has to
-  // compete with committers for mu (which they hold across the group
-  // ticket wait — a blocking acquire would starve retention under load).
   std::unique_ptr<DurableJournal> journal;
-  std::mutex retention_mu;
   std::atomic<int> inflight{0};
   bool closed = false;  // guarded by mu
-  // Passivated stub state. Written under mu; atomic because the gwal
-  // retention pass reads both under retention_mu alone. The watermark is
-  // the absolute acked-txn count the passivation fsync made durable in the
-  // session file — while the stub stands, it keeps vouching for the
-  // session's group-log envelopes (see DoCompactGwal).
-  std::atomic<bool> passivated{false};
-  std::atomic<std::uint64_t> acked_watermark{0};
 };
 
 namespace {
@@ -129,46 +119,46 @@ struct SlotGuard {
 // PivotServer
 // ---------------------------------------------------------------------------
 
-PivotServer::PivotServer(ServerOptions options)
-    : options_(std::move(options)) {
-  PIVOT_CHECK_MSG(!options_.data_dir.empty(), "server needs a data_dir");
-  if (::mkdir(options_.data_dir.c_str(), 0755) != 0 && errno != EEXIST) {
-    throw ProgramError("server: cannot create data dir " + options_.data_dir +
-                       ": " + std::strerror(errno));
-  }
+namespace {
 
-  const std::string gwal = GroupWalPath();
-  const bool fresh = ::access(gwal.c_str(), F_OK) != 0;
-  if (!fresh) {
-    // Scan the group log as it survived the last process: cut the torn
-    // tail, then index every acked frame per session for reconciliation.
-    const WalScanResult scan = ScanWal(gwal);
-    if (!scan.header_ok || scan.version > kJournalFormatVersion) {
-      throw ProgramError("server: " + gwal + " is not a usable group log");
-    }
-    if (scan.valid_bytes < scan.file_bytes) {
-      TruncateWal(gwal, scan.valid_bytes);
-    }
-    for (const WalFrame& frame : scan.frames) {
-      if (frame.type != FrameType::kGroup) {
-        throw ProgramError("server: foreign frame in group log " + gwal);
-      }
-      GroupFrame entry = DecodeGroupFrame(frame.body);
-      if (entry.mark) {
-        // Retention mark: compaction reclaimed the session's first
-        // `dropped` txn envelopes (cumulative; later marks supersede).
-        group_dropped_[entry.session] = entry.dropped;
-        continue;
-      }
-      group_index_[entry.session].push_back(std::move(entry));
-    }
+// Creates the data dir if needed and returns the lock that makes this
+// server its only owner.
+FileLock LockDataDir(const std::string& dir) {
+  PIVOT_CHECK_MSG(!dir.empty(), "server needs a data_dir");
+  if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
+    throw ProgramError("server: cannot create data dir " + dir + ": " +
+                       std::strerror(errno));
   }
-  group_ = std::make_unique<GroupCommitLog>(
-      gwal, fresh, options_.commit, [this](GroupCommitLog::Failure failure) {
-        if (failure == GroupCommitLog::Failure::kCrashed) {
+  try {
+    return FileLock::Acquire(dir + "/server");
+  } catch (const ProgramError& e) {
+    throw ProgramError("server: data dir " + dir +
+                       " is held by another server: " + e.what());
+  }
+}
+
+}  // namespace
+
+PivotServer::PivotServer(ServerOptions options)
+    : options_(std::move(options)), dir_lock_(LockDataDir(options_.data_dir)) {
+  // Older builds made commits durable in a shared group log and only
+  // copied them into the session files lazily; after a power loss that
+  // file may be the only copy of acknowledged commits, and this build
+  // cannot read it.
+  const std::string gwal = options_.data_dir + "/server.gwal";
+  if (::access(gwal.c_str(), F_OK) == 0) {
+    throw ProgramError(
+        "server: " + gwal + " is the group log of an older build, which "
+        "may hold acknowledged commits the session journals lack; recover "
+        "every session with that build, then remove the file");
+  }
+  group_ = std::make_unique<GroupCommitter>(
+      options_.data_dir, options_.commit,
+      [this](GroupCommitter::Failure failure, const std::string& reason) {
+        if (failure == GroupCommitter::Failure::kCrashed) {
           mode_.store(ServerMode::kCrashed, std::memory_order_release);
         } else {
-          Degrade("group-commit log write fault");
+          Degrade(reason);
         }
       });
   if (options_.lifecycle.idle_passivate_ms > 0) {
@@ -188,21 +178,17 @@ PivotServer::~PivotServer() {
   // Sessions (and their journals) die before group_ — member order.
 }
 
-std::string PivotServer::GroupWalPath() const {
-  return options_.data_dir + "/server.gwal";
-}
-
 std::string PivotServer::SessionWalPath(const std::string& name) const {
   return options_.data_dir + "/" + name + ".wal";
 }
 
-void PivotServer::Degrade(const char* why) {
+void PivotServer::Degrade(const std::string& why) {
   ServerMode expected = ServerMode::kServing;
   if (mode_.compare_exchange_strong(expected, ServerMode::kDegraded,
                                     std::memory_order_acq_rel)) {
     std::lock_guard<std::mutex> lock(stats_mu_);
     stats_.mode = ServerMode::kDegraded;
-    (void)why;
+    stats_.degraded_reason = why;
   }
 }
 
@@ -270,7 +256,9 @@ Response PivotServer::Execute(const Request& req) {
        << " reactivations=" << s.reactivations
        << " resident=" << s.resident_sessions
        << " resident_bytes=" << s.resident_bytes
-       << " read_timeouts=" << s.read_timeouts;
+       << " read_timeouts=" << s.read_timeouts
+       // Last: the reason is free text and runs to the end of the line.
+       << " degraded_reason=" << s.degraded_reason;
     Response resp;
     resp.value = s.commits;
     resp.text = os.str();
@@ -307,8 +295,7 @@ Response PivotServer::Execute(const Request& req) {
     CheckDeadline("at admission");
     Response resp = Dispatch(req, deadline);
     // No session lock is held here (Dispatch released everything), which
-    // is what the retention pass and budget enforcement require.
-    MaybeAutoCompact();
+    // is what budget enforcement requires.
     MaybePassivate();
     return resp;
   } catch (const FaultInjectedError&) {
@@ -323,7 +310,7 @@ Response PivotServer::Execute(const Request& req) {
     ++stats_.rejected_overload;
     return Fail(StatusCode::kOverloaded, e.what());
   } catch (const JournalWriteError& e) {
-    Degrade("session journal write fault");
+    Degrade(std::string("session ") + e.what());
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.rejected_degraded;
     return Fail(StatusCode::kDegraded, e.what());
@@ -331,7 +318,7 @@ Response PivotServer::Execute(const Request& req) {
     // The commit raced Drain(): not a fault, retry after restart.
     return Fail(StatusCode::kShuttingDown, e.what());
   } catch (const ServerDegradedError& e) {
-    // The group log already flipped the server via on_failure.
+    // The group commit already flipped the server via on_failure.
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.rejected_degraded;
     return Fail(StatusCode::kDegraded, e.what());
@@ -351,7 +338,7 @@ Response PivotServer::Dispatch(const Request& req,
   // rejected at admission, before any code path could turn them into a
   // filesystem path. kPrecondition, not kBadRequest: the request itself is
   // well-formed, the name just cannot ever denote a session.
-  const bool takes_session = req.op != ServerOp::kCompact &&
+  const bool takes_session = req.op != ServerOp::kRetiredCompact &&
                              !(req.op == ServerOp::kSleep &&
                                req.session.empty());
   if (takes_session && !ValidSessionName(req.session)) {
@@ -364,8 +351,10 @@ Response PivotServer::Dispatch(const Request& req,
       return DoOpen(req);
     case ServerOp::kRecover:
       return DoRecover(req);
-    case ServerOp::kCompact:
-      return DoCompactGwal();
+    case ServerOp::kRetiredCompact:
+      return Fail(StatusCode::kBadRequest,
+                  "op 'compact' was retired: the server keeps no group log "
+                  "to compact");
     default:
       break;
   }
@@ -421,12 +410,7 @@ Response PivotServer::Dispatch(const Request& req,
   Response resp;
   if (req.op == ServerOp::kClose) {
     hosted->closed = true;
-    hosted->passivated.store(false, std::memory_order_release);
-    {
-      // Fenced against a concurrent retention pass fsyncing this WAL.
-      std::lock_guard<std::mutex> retention(hosted->retention_mu);
-      hosted->journal.reset();  // detaches the listener, releases the flock
-    }
+    hosted->journal.reset();  // detaches the listener, releases the flock
     hosted->session.reset();
     std::lock_guard<std::mutex> sessions_lock(sessions_mu_);
     sessions_.erase(req.session);
@@ -529,17 +513,16 @@ Response PivotServer::Dispatch(const Request& req,
   return resp;
 }
 
-// A session journal's frames become durable in the shared group log, not
-// in the session file: the journal appends without fsync, and this ack
-// blocks until the group fsync covering the frame returns — the
+// The journal appends without syncing, and this ack blocks until the
+// group-commit worker's sync covering the frame returns — the
 // acknowledgement point of the whole server.
-JournalAck PivotServer::GroupAck(const std::string& name) {
-  return [this, name](FrameType type, const std::string& body) {
+JournalAck PivotServer::GroupAck() {
+  return [this](FrameType, WalWriter& writer) {
     // Last exit before work that cannot be abandoned: past this point the
-    // frame goes to disk even if the client has given up on it.
+    // frame is made durable even if the client has given up on it.
     CheckDeadline("before the commit was journaled");
     PIVOT_FAULT_POINT("server.commit.enqueue.pre");
-    group_->Commit(name, type, body);
+    group_->Commit(writer);
   };
 }
 
@@ -547,8 +530,8 @@ JournalAck PivotServer::GroupAck(const std::string& name) {
 // with its session mutex pre-locked by `init`, or returns false when the
 // name is already taken. The entry reserves the name so two opens (or an
 // open racing a recover) cannot both initialize it, while the expensive
-// part — journal creation or recovery, which blocks on a full group-commit
-// fsync or a replay — runs OUTSIDE sessions_mu_: FindSession takes that
+// part — journal creation or recovery, which blocks on a group-commit
+// sync or a replay — runs OUTSIDE sessions_mu_: FindSession takes that
 // mutex on every request, and one slow open must not stall traffic to
 // every other session. Requests that race the open find the entry and
 // block on its mutex until initialization finishes (or fails and the entry
@@ -589,21 +572,12 @@ Response PivotServer::DoOpen(const Request& req) {
       return Fail(StatusCode::kSessionExists,
                   "journal " + path + " already exists; use recover");
     }
-    auto journal = DurableJournal::Create(
+    hosted->journal = DurableJournal::Create(
         *hosted->session, path,
-        {.snapshot_interval = options_.snapshot_interval},
-        GroupAck(req.session));
-    std::lock_guard<std::mutex> retention(hosted->retention_mu);
-    hosted->journal = std::move(journal);
+        {.snapshot_interval = options_.snapshot_interval}, GroupAck());
   } catch (...) {
     Unpublish(hosted);
     throw;
-  }
-  {
-    // Freshly created: the WAL holds nothing the startup index does not
-    // know about being unacked, so it never needs aligning against it.
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    reconciled_.insert(req.session);
   }
   TouchLru(req.session, *hosted->session);
   Response resp;
@@ -619,34 +593,17 @@ Response PivotServer::DoRecover(const Request& req) {
     return Fail(StatusCode::kSessionExists,
                 "session '" + req.session + "' is already open");
   }
-  // Alignment against the startup group index happens once per name per
-  // process: a session hosted earlier in this lifetime only ever appended
-  // group-acked frames after that, which the (startup-frozen) index does
-  // not record — re-aligning would mistake them for unacked leftovers.
-  bool needs_reconcile;
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    needs_reconcile = reconciled_.count(req.session) == 0;
-  }
   Response resp;
   try {
-    PIVOT_FAULT_POINT("server.recover.reconcile.pre");
-    if (needs_reconcile) {
-      ReconcileSessionWal(req.session);
-      std::lock_guard<std::mutex> lock(sessions_mu_);
-      reconciled_.insert(req.session);
-    }
     const std::string path = SessionWalPath(req.session);
+    if (::access(path.c_str(), F_OK) != 0) {
+      throw ProgramError("no journal for session '" + req.session + "'");
+    }
     RecoverResult recovered = RecoverSession(path);
     hosted->session = std::move(recovered.session);
-    auto journal = DurableJournal::Reattach(
+    hosted->journal = DurableJournal::Reattach(
         *hosted->session, path, recovered.report,
-        {.snapshot_interval = options_.snapshot_interval},
-        GroupAck(req.session));
-    {
-      std::lock_guard<std::mutex> retention(hosted->retention_mu);
-      hosted->journal = std::move(journal);
-    }
+        {.snapshot_interval = options_.snapshot_interval}, GroupAck());
     resp.value = recovered.report.txns_replayed;
     resp.text = recovered.report.ToString();
   } catch (...) {
@@ -657,286 +614,33 @@ Response PivotServer::DoRecover(const Request& req) {
   return resp;
 }
 
-// The gwal retention pass. Ordering is the whole safety story: each open
-// session's WAL is fsynced FIRST, and only the txn count that fsync
-// provably covered is offered as the session's watermark. The group log
-// then drops envelopes up to the watermark: every dropped envelope has a
-// durable copy in its session file, so a crash at any later point still
-// recovers every acknowledged commit. The pass deliberately does NOT take
-// session locks — committers hold theirs across the whole group-commit
-// wait, so on a saturated server a blocking acquire starves the pass
-// until the load stops (exactly when retention no longer matters).
-// retention_mu only fences journal creation/destruction; the fsync itself
-// is safe against a concurrent append (see
-// DurableJournal::SyncDurableTxns).
-Response PivotServer::DoCompactGwal() {
-  std::vector<std::shared_ptr<Hosted>> hosted_snapshot;
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    hosted_snapshot.reserve(sessions_.size());
-    for (const auto& [name, hosted] : sessions_) hosted_snapshot.push_back(hosted);
-  }
-  std::map<std::string, std::uint64_t> watermarks;
-  std::size_t skipped = 0;
-  for (const auto& hosted : hosted_snapshot) {
-    std::lock_guard<std::mutex> lock(hosted->retention_mu);
-    if (hosted->journal == nullptr) {
-      // A passivated stub has no journal, but its eviction fsync already
-      // made the acked prefix durable in the session file — the stored
-      // watermark keeps vouching for its group-log envelopes. (A stub
-      // mid-close or mid-initialization is not passivated and vouches for
-      // nothing.)
-      if (hosted->passivated.load(std::memory_order_acquire)) {
-        watermarks[hosted->name] =
-            hosted->acked_watermark.load(std::memory_order_acquire);
-      }
-      continue;
-    }
-    try {
-      watermarks[hosted->name] = hosted->journal->SyncDurableTxns();
-    } catch (const FaultInjectedError&) {
-      throw;  // crash harness
-    } catch (...) {
-      // This session's WAL could not be made durable; its envelopes stay.
-      ++skipped;
-    }
-  }
-  // Sessions present in the group log but not open get no watermark:
-  // without an fsync of their file nothing vouches for a durable copy, so
-  // their envelopes are retained.
-  group_->Compact(std::move(watermarks));
-  Response resp;
-  resp.value = group_->bytes();
-  std::ostringstream os;
-  os << "gwal " << group_->bytes() << " bytes after compaction";
-  if (skipped > 0) os << " (" << skipped << " sessions skipped)";
-  resp.text = os.str();
-  return resp;
-}
-
-void PivotServer::MaybeAutoCompact() {
-  if (options_.gwal_compact_bytes == 0) return;
-  if (group_->bytes() < options_.gwal_compact_bytes) return;
-  if (mode() != ServerMode::kServing) return;
-  // One pass at a time; concurrent requests simply skip (the next commit
-  // past the threshold retries).
-  bool expected = false;
-  if (!gwal_compacting_.compare_exchange_strong(expected, true,
-                                                std::memory_order_acq_rel)) {
-    return;
-  }
-  try {
-    DoCompactGwal();
-  } catch (const FaultInjectedError&) {
-    gwal_compacting_.store(false, std::memory_order_release);
-    throw;  // the crash harness owns this one (Execute flips kCrashed)
-  } catch (...) {
-    // Opportunistic: a failed pass (draining, degraded, write fault on the
-    // tmp file) leaves the log valid and merely longer than we would like.
-  }
-  gwal_compacting_.store(false, std::memory_order_release);
-}
-
-// Brings a session WAL in line with the group log as scanned at server
-// start: the file's txn frames are aligned against the acked sequence BY
-// CONTENT, every acked frame missing from the (never individually
-// fsynced) session file is re-appended byte-identically, and any frame
-// past the matching prefix is cut. Such a frame is an unacknowledged
-// leftover — a txn appended just before a crash whose group fsync never
-// ran — and dropping it is what keeps the session WAL an exact replica of
-// the acked prefix. Keeping it (the old "bonus" policy) baked unacked
-// state underneath later acked commits; after a second crash that lost
-// the unsynced session-file tail, a count-based alignment then started
-// the re-append at the wrong group index, silently dropping an
-// acknowledged commit.
-void PivotServer::ReconcileSessionWal(const std::string& name) {
-  const auto indexed = group_index_.find(name);
-  const std::vector<GroupFrame> no_entries;
-  const std::vector<GroupFrame>& entries =
-      indexed == group_index_.end() ? no_entries : indexed->second;
-  // Txn envelopes reclaimed by gwal compaction: the session file's first
-  // `dropped` txn frames have no group counterpart left to compare
-  // against, but compaction verified (fsync before drop) that they are
-  // durable in the session file — they are accepted as the acked prefix.
-  const auto dropped_it = group_dropped_.find(name);
-  const std::uint64_t dropped =
-      dropped_it == group_dropped_.end() ? 0 : dropped_it->second;
-
-  const std::string path = SessionWalPath(name);
-  const bool exists = ::access(path.c_str(), F_OK) == 0;
-  if (!exists && entries.empty() && dropped == 0) {
-    throw ProgramError("no journal for session '" + name + "'");
-  }
-
-  // Is the existing file usable (valid header + genesis)?
-  bool usable = false;
-  WalScanResult scan;
-  if (exists) {
-    scan = ScanWal(path);
-    // A newer build's journal is refused, never rewritten from the group
-    // log: this build cannot tell what it would destroy.
-    if (scan.header_ok && scan.version > kJournalFormatVersion) {
-      throw ProgramError(
-          "session '" + name + "' journal format version " +
-          std::to_string(scan.version) + " is newer than this build " +
-          "supports (" + std::to_string(kJournalFormatVersion) +
-          "); refusing to rewrite it");
-    }
-    usable = scan.header_ok && !scan.frames.empty() &&
-             scan.frames[0].type == FrameType::kGenesis;
-  }
-
-  if (!usable) {
-    // Crash before the genesis landed in the session file (or the file is
-    // gone): rebuild it wholesale from the acked frames.
-    if (dropped > 0) {
-      // Compaction only ever drops envelopes that are durable in the
-      // session file; the file being unusable now means that durable copy
-      // was destroyed afterwards — outside the crash contract, and the
-      // dropped frames are not reconstructible from the group log.
-      throw ProgramError(
-          "session '" + name +
-          "' has no usable journal, and the group log's copy of its first " +
-          std::to_string(dropped) + " transactions was reclaimed by "
-          "compaction after they were durable there");
-    }
-    if (entries.empty() || entries[0].type != FrameType::kGenesis) {
-      throw ProgramError("session '" + name +
-                         "' has no usable journal and no acked genesis in "
-                         "the group log");
-    }
-    FileLock lock = FileLock::Acquire(path);
-    WalWriter writer = WalWriter::Create(path);
-    for (const GroupFrame& entry : entries) {
-      writer.AppendFrame(entry.type, entry.body, /*fsync=*/false,
-                         "server.reconcile.frame");
-    }
-    writer.Sync();
-    return;
-  }
-
-  if (scan.valid_bytes < scan.file_bytes) {
-    TruncateWal(path, scan.valid_bytes);
-  }
-
-  std::vector<const GroupFrame*> gwal_txns;
-  for (const GroupFrame& entry : entries) {
-    if (entry.type == FrameType::kTxn) gwal_txns.push_back(&entry);
-  }
-
-  // Txn frames dropped from beneath the FILE by passivation compaction,
-  // recorded in the snapshots' base clause: the file's t-th txn frame
-  // (0-based) is transaction sbase + t of the session's absolute history.
-  // Compaction only ever drops frames covered by a durable snapshot, so
-  // the missing prefix needs no content check — the snapshot IS its
-  // digest-verified summary.
-  std::uint64_t sbase = 0;
-  for (const WalFrame& frame : scan.frames) {
-    if (frame.type == FrameType::kSnapshot) {
-      const std::uint64_t base = DecodeSnapshotBody(frame.body).base;
-      if (base > sbase) sbase = base;
-    }
-  }
-
-  // Longest prefix of the session file whose txn frames byte-match the
-  // acked sequence, aligned by ABSOLUTE transaction index: both the gwal
-  // (retention marks, `dropped`) and the session file (snapshot bases,
-  // `sbase`) may have reclaimed a prefix, and the two counts move
-  // independently. Snapshot frames interleave freely — a snapshot is
-  // written only after its txns were acked, so one encountered before any
-  // divergence describes matched state and stays. A file txn whose
-  // absolute index precedes `dropped` has no group counterpart left
-  // (reclaimed after compaction verified it durable here) and is accepted
-  // without a content check; from `dropped` on, absolute transaction a
-  // compares against gwal_txns[a - dropped]. The first txn that disagrees
-  // with (or overshoots) the acked sequence starts the unacknowledged
-  // tail.
-  std::uint64_t matched = 0;  // session-file txn frames accepted so far
-  std::uint64_t keep_bytes = sizeof kWalMagic + 4;  // file header
-  bool diverged = false;
-  for (const WalFrame& frame : scan.frames) {
-    if (frame.type == FrameType::kTxn) {
-      const std::uint64_t abs = sbase + matched;
-      if (abs >= dropped) {
-        const std::uint64_t idx = abs - dropped;
-        if (idx >= gwal_txns.size() ||
-            frame.body != gwal_txns[idx]->body) {
-          diverged = true;
-          break;
-        }
-      }
-      ++matched;
-    }
-    keep_bytes = frame.end_offset;
-  }
-  if (sbase + matched < dropped) {
-    // The file accounts for fewer transactions (compacted-away plus
-    // present) than gwal compaction verified durable in it: a durable
-    // prefix was destroyed, and the group log no longer has those frames
-    // to rebuild from.
-    throw ProgramError(
-        "session '" + name + "' journal accounts for " +
-        std::to_string(sbase + matched) +
-        " transactions but gwal compaction recorded " +
-        std::to_string(dropped) + " durable ones; the reclaimed frames "
-        "cannot be rebuilt from the group log");
-  }
-  if (!diverged && sbase + matched == dropped + gwal_txns.size()) {
-    return;  // exact replica of the acked history
-  }
-
-  FileLock lock = FileLock::Acquire(path);
-  if (diverged) TruncateWal(path, keep_bytes);
-  WalWriter writer = WalWriter::Append(path);
-  for (std::size_t i = sbase + matched - dropped; i < gwal_txns.size(); ++i) {
-    writer.AppendFrame(FrameType::kTxn, gwal_txns[i]->body, /*fsync=*/false,
-                       "server.reconcile.frame");
-  }
-  writer.Sync();
-}
-
 // ---------------------------------------------------------------------------
 // Session lifecycle: passivation, reactivation, budget enforcement
 // ---------------------------------------------------------------------------
 
 // The eviction sequence, under hosted->mu:
-//   1. final durable snapshot (or bare fsync) — the file becomes the sole
+//   1. final durable snapshot (or bare sync) — the file becomes the sole
 //      authority for the session's state;
-//   2. publish the stub (acked watermark first, then the passivated flag):
-//      from here the gwal retention pass vouches for the session's
-//      envelopes via the stub instead of the live journal;
-//   3. release the journal (under retention_mu, fencing a concurrent
-//      retention pass) and the Session;
-//   4. rewrite the WAL down to genesis + snapshot + tail.
+//   2. release the journal and the Session, leaving the stub;
+//   3. rewrite the WAL down to genesis + snapshot + tail.
 // A crash between any two steps is covered: the snapshot of step 1 is
-// durable before anything is released, and the compaction of step 4 is
+// durable before anything is released, and the compaction of step 3 is
 // atomic (tmp + rename) with stale tmps cleaned at reactivation.
 bool PivotServer::PassivateLocked(const std::shared_ptr<Hosted>& hosted) {
   PIVOT_FAULT_POINT("server.evict.pre");
-  std::uint64_t watermark = 0;
   try {
-    watermark = hosted->journal->Checkpoint();
+    hosted->journal->Checkpoint();
   } catch (const FaultInjectedError&) {
     throw;  // crash harness (callers flip kCrashed)
-  } catch (const JournalWriteError&) {
+  } catch (const JournalWriteError& e) {
     // The WAL could not be made durable, so the Session must stay
     // resident — it is the only correct copy. The disk is failing;
     // degrade the server rather than retrying evictions forever.
-    Degrade("passivation write fault");
+    Degrade(std::string("passivation ") + e.what());
     return false;
   }
   PIVOT_FAULT_POINT("server.evict.release.pre");
-  // Watermark before flag: a retention pass that observes passivated==true
-  // must never read a stale watermark of 0 and offer it for this session
-  // (Compact treats watermarks cumulatively, so 0 would merely retain
-  // everything — but the stub should vouch for exactly what the fsync
-  // covered).
-  hosted->acked_watermark.store(watermark, std::memory_order_release);
-  hosted->passivated.store(true, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> retention(hosted->retention_mu);
-    hosted->journal.reset();  // detaches the listener, releases the flock
-  }
+  hosted->journal.reset();  // detaches the listener, releases the flock
   hosted->session.reset();
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
@@ -948,9 +652,7 @@ bool PivotServer::PassivateLocked(const std::shared_ptr<Hosted>& hosted) {
   }
   try {
     // The journal's flock was just released; re-acquire it for the rewrite
-    // so no other process can race the rename. Compacting only after the
-    // release keeps the retention pass, which fsyncs live journals without
-    // the session lock, off a file being swapped.
+    // so no other process can race the rename.
     const std::string path = SessionWalPath(hosted->name);
     FileLock lock = FileLock::Acquire(path);
     CompactJournalFile(path);
@@ -964,31 +666,21 @@ bool PivotServer::PassivateLocked(const std::shared_ptr<Hosted>& hosted) {
   return true;
 }
 
-// In-process reactivation never re-reconciles against the startup group
-// index: every frame this process appended after startup was group-acked
-// before OnCommit returned (and eviction rolls rejected frames off), so
-// the file holds exactly the acked prefix — re-aligning against the
-// startup-frozen index would mistake post-startup commits for unacked
-// leftovers.
 void PivotServer::ReactivateLocked(const std::shared_ptr<Hosted>& hosted) {
   PIVOT_FAULT_POINT("server.evict.reactivate.pre");
   const std::string path = SessionWalPath(hosted->name);
   RecoverResult recovered = RecoverSession(path);  // throws on failure
   hosted->session = std::move(recovered.session);
   try {
-    auto journal = DurableJournal::Reattach(
+    hosted->journal = DurableJournal::Reattach(
         *hosted->session, path, recovered.report,
-        {.snapshot_interval = options_.snapshot_interval},
-        GroupAck(hosted->name));
-    std::lock_guard<std::mutex> retention(hosted->retention_mu);
-    hosted->journal = std::move(journal);
+        {.snapshot_interval = options_.snapshot_interval}, GroupAck());
   } catch (...) {
-    // Back to a stub: the watermark is still valid (nothing was written)
-    // and the next request retries the recovery.
+    // Back to a stub (nothing was written); the next request retries the
+    // recovery.
     hosted->session.reset();
     throw;
   }
-  hosted->passivated.store(false, std::memory_order_release);
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.reactivations;
@@ -1042,7 +734,7 @@ void PivotServer::MaybePassivate() {
       }
       // try_lock, never block: a busy session is by definition not a good
       // eviction victim, and a committer parked on the group ticket holds
-      // its lock for the whole fsync wait.
+      // its lock for the whole sync wait.
       std::unique_lock<std::timed_mutex> lock(hosted->mu, std::try_to_lock);
       if (!lock.owns_lock()) continue;
       if (hosted->closed || hosted->session == nullptr) {
@@ -1159,7 +851,7 @@ void PivotServer::ServeConnection(int fd, const ConnectionLimits& limits) {
 
 void PivotServer::Drain() {
   // Quiesce the idle reaper first: a passivation mid-drain would race the
-  // group log's shutdown for no benefit.
+  // group commit's shutdown for no benefit.
   StopReaper();
   ServerMode expected = ServerMode::kServing;
   if (!mode_.compare_exchange_strong(expected, ServerMode::kDraining,

@@ -2,8 +2,8 @@
 //
 // PivotServer hosts many concurrent Sessions, each durably journaled to a
 // per-session WAL under `data_dir`, with commits funneled through one
-// shared group-commit log (see server/group_commit.h) so that N concurrent
-// committers pay one fsync, not N. Robustness is the point:
+// group-commit worker (see server/group_commit.h) so that N concurrent
+// committers pay one sync, not N. Robustness is the point:
 //
 //   * admission control — a global in-flight bound and a per-session
 //     in-flight bound; past either the request is rejected immediately
@@ -17,28 +17,31 @@
 //     reads (source/history/canundo/stats/ping) keep being served, every
 //     commit is refused with kDegraded and a typed error. Nothing crashes;
 //   * graceful drain — Drain() stops admissions (kShuttingDown,
-//     retryable), waits for in-flight requests, flushes and fsyncs the
-//     group log. The SIGTERM half of tools/pivot_serve;
+//     retryable), waits for in-flight requests, and syncs every queued
+//     commit. The SIGTERM half of tools/pivot_serve;
 //   * session lifecycle — a byte-accounted LRU of resident sessions with
 //     a configurable memory budget and idle-age passivation: eviction
 //     appends one final durable snapshot, releases the Session and its
-//     journal, and compacts the WAL, keeping only a stub with the
-//     acked-txn watermark; the next request reactivates the session
-//     transparently through Session::Recover (see server/lifecycle.h).
+//     journal, and compacts the WAL, keeping only a stub (the name); the
+//     next request reactivates the session transparently through
+//     Session::Recover (see server/lifecycle.h).
 //
 // Durability contract (crash-swept in tests/server_crash_test.cc): each
-// session is journaled by a persist DurableJournal whose ack is the group
-// log — session WALs are appended WITHOUT fsync, the single group-log
-// fsync is the only durability point, and a commit is acknowledged only
-// after it. A frame the group log refuses (overload, deadline, a failed
-// log) is rolled back off the session WAL, so the session stays usable;
-// a permanent session-WAL write fault degrades the server (see the
-// failure policy in persist/durable.h).
-// On startup the server scans the group log and reconciles each session
-// WAL against it by content — re-appending acked frames a crash kept out
-// of the unsynced per-session file and dropping unacknowledged leftovers
-// past the acked prefix — so kill-at-any-point never loses an
-// acknowledged commit.
+// session is journaled by a persist DurableJournal whose ack is the
+// group-commit worker — the journal appends WITHOUT syncing, the worker's
+// sync of the batch (fdatasync of the one file, or one syncfs of the data
+// dir) is the only durability point, and a commit is acknowledged only
+// after it. The session WALs are the only log, so recovery is plain
+// Session::Recover of the file. A frame the worker refuses (overload,
+// deadline, a failed sync) is rolled back off the session WAL, so the
+// session stays usable; a permanent session-WAL write fault degrades the
+// server (see the failure policy in persist/durable.h). A crash can leave
+// at most one frame per session written but never acknowledged (its
+// in-flight operation); recovery keeps it when it is whole.
+//
+// Older builds also kept a shared `server.gwal`, the group log. A data dir
+// that still holds one is refused at construction: a power loss before
+// the upgrade may have left acknowledged commits only in that file.
 #ifndef PIVOT_SERVER_SERVER_H_
 #define PIVOT_SERVER_SERVER_H_
 
@@ -49,14 +52,13 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <utility>
-#include <vector>
 
 #include "pivot/core/session.h"
 #include "pivot/persist/durable.h"
+#include "pivot/persist/filelock.h"
 #include "pivot/server/group_commit.h"
 #include "pivot/server/lifecycle.h"
 #include "pivot/server/protocol.h"
@@ -64,8 +66,8 @@
 namespace pivot {
 
 struct ServerOptions {
-  // Directory holding `server.gwal` plus one `<session>.wal` per session.
-  // Created if missing.
+  // Directory holding one `<session>.wal` per session (and a `server.lock`
+  // held while a server owns it). Created if missing.
   std::string data_dir;
   // Options for every hosted session (genesis options are per-session and
   // persisted; this is the template for kOpen).
@@ -79,11 +81,6 @@ struct ServerOptions {
   int session_inflight = 8;
   // Admit the test-only ops (kSleep) — tools keep this off.
   bool enable_test_ops = false;
-  // Run a gwal retention pass automatically once the group log exceeds
-  // this many bytes (fsync each open session's WAL, then drop group
-  // frames those WALs already hold durably — see GroupCommitLog::
-  // Compact). 0 = only on explicit ServerOp::kCompact.
-  std::uint64_t gwal_compact_bytes = 0;
   // Session lifecycle: memory budget, idle passivation, reactivation (see
   // server/lifecycle.h). Default: everything resident forever.
   LifecycleOptions lifecycle;
@@ -112,6 +109,9 @@ struct ServerStats {
   std::uint64_t resident_sessions = 0;   // sessions currently in memory
   std::uint64_t resident_bytes = 0;      // their estimated footprint
   ServerMode mode = ServerMode::kServing;
+  // Why the server degraded: the first fault's reason, empty while it
+  // has not.
+  std::string degraded_reason;
   GroupCommitStats group;
 };
 
@@ -125,9 +125,9 @@ struct ConnectionLimits {
 
 class PivotServer {
  public:
-  // Opens (or creates) the data directory and the shared group-commit log.
-  // An existing group log is scanned — its torn tail truncated — and
-  // indexed for per-session reconciliation at kRecover time.
+  // Opens (or creates) the data directory and locks it. Throws
+  // ProgramError when another server holds it, or when it holds an older
+  // build's `server.gwal` (see the durability contract above).
   explicit PivotServer(ServerOptions options);
   ~PivotServer();
   PivotServer(const PivotServer&) = delete;
@@ -146,15 +146,14 @@ class PivotServer {
   void ServeConnection(int fd);
   void ServeConnection(int fd, const ConnectionLimits& limits);
 
-  // Stops admissions, waits for in-flight requests, flushes the group log.
-  // Idempotent.
+  // Stops admissions, waits for in-flight requests, syncs every queued
+  // commit. Idempotent.
   void Drain();
 
   ServerMode mode() const { return mode_.load(std::memory_order_acquire); }
   ServerStats stats() const;
 
-  // The paths this server uses (tests poke at the files directly).
-  std::string GroupWalPath() const;
+  // A session's WAL (tests poke at the files directly).
   std::string SessionWalPath(const std::string& name) const;
 
  private:
@@ -168,15 +167,15 @@ class PivotServer {
   void Unpublish(const std::shared_ptr<Hosted>& hosted);
   Response Dispatch(const Request& req, std::chrono::steady_clock::time_point
                                             deadline);
-  // A session journal's ack: block until the frame is durable in the group
-  // log (see the definition).
-  JournalAck GroupAck(const std::string& name);
+  // A session journal's ack: block until the group-commit worker has
+  // synced the journal's file (see the definition).
+  JournalAck GroupAck();
   Response DoOpen(const Request& req);
   Response DoRecover(const Request& req);
   // Passivation: final durable snapshot, release Session + journal, keep a
-  // stub with the acked-txn watermark. Caller holds hosted->mu and has
-  // verified the session is live. Returns false when the WAL could not be
-  // made durable (the session stays resident; the server degrades).
+  // stub. Caller holds hosted->mu and has verified the session is live.
+  // Returns false when the WAL could not be made durable (the session
+  // stays resident; the server degrades).
   bool PassivateLocked(const std::shared_ptr<Hosted>& hosted);
   // Reactivation through Session::Recover + journal reattach. Caller holds
   // hosted->mu on a passivated stub; throws on failure (the stub survives
@@ -193,39 +192,17 @@ class PivotServer {
   // untouched past the cutoff until asked to stop.
   void ReaperLoop();
   void StopReaper();
-  // The gwal retention pass: sync every open session's WAL (one session
-  // locked at a time, none held while blocking on the group worker),
-  // collect watermarks, and ask the group log to drop covered frames.
-  Response DoCompactGwal();
-  // Size-threshold trigger for the pass; runs at most once concurrently
-  // and must be called with no session lock held.
-  void MaybeAutoCompact();
-  void ReconcileSessionWal(const std::string& name);
-  void Degrade(const char* why);
+  // Flips the server into kDegraded (once) and keeps the first reason.
+  void Degrade(const std::string& why);
 
   const ServerOptions options_;
   std::atomic<ServerMode> mode_{ServerMode::kServing};
-  std::unique_ptr<GroupCommitLog> group_;
-
-  // Frames per session recorded in the group log at startup (the
-  // reconciliation source). Never mutated after the constructor.
-  std::map<std::string, std::vector<GroupFrame>> group_index_;
-  // Per-session cumulative txn envelopes reclaimed by gwal compaction, as
-  // recorded by retention marks at startup: reconciliation accepts that
-  // many leading session-WAL txn frames without a group counterpart.
-  // Never mutated after the constructor.
-  std::map<std::string, std::uint64_t> group_dropped_;
-  std::atomic<bool> gwal_compacting_{false};
+  // Held for the server's lifetime: one server per data dir.
+  FileLock dir_lock_;
+  std::unique_ptr<GroupCommitter> group_;
 
   mutable std::mutex sessions_mu_;
   std::map<std::string, std::shared_ptr<Hosted>> sessions_;
-  // Sessions whose WAL is already in line with the group log as of THIS
-  // process (created fresh, or reconciled once against the startup index).
-  // Later recovers of such a session must NOT re-align against the stale
-  // startup index: every frame a live, non-crashed server appended after
-  // startup was group-acked before OnCommit returned, and the index knows
-  // nothing about it. Guarded by sessions_mu_.
-  std::set<std::string> reconciled_;
   // Resident sessions by recency, with byte estimates (guarded by
   // sessions_mu_). Passivated stubs and closed sessions are not in it.
   SessionLru lru_;

@@ -118,6 +118,8 @@ const std::vector<std::string>& FaultInjector::KnownPoints() {
       "persist.snapshot.header.post", "persist.snapshot.mid",
       "persist.snapshot.post",        "persist.snapshot.fsync.post",
       "persist.recover.truncate.pre",
+      // WalWriter::Create has synced a new journal's directory entry.
+      "persist.create.dir.synced",
       // Journal compaction crash points. The tmp-file frames
       // (.genesis/.snapshot/.txn triples) tear the rewrite before the
       // rename commit point; .rename.pre/.post straddle it. Crash anywhere
@@ -131,32 +133,17 @@ const std::vector<std::string>& FaultInjector::KnownPoints() {
       "persist.compact.txn.post",            "persist.compact.tmp.synced",
       "persist.compact.rename.pre",          "persist.compact.rename.post",
       // Server crash points. A session's WAL frames cross the persist.*
-      // points above (its DurableJournal appends without fsync; the group
-      // log acks), so only the server's own steps are listed here:
-      // enqueue.pre sits between the session append and the group commit;
-      // server.gwal.* is the shared group-commit log, whose sync.post
-      // models a crash after the batch fsync but before any waiting client
-      // is acknowledged; server.reconcile.frame.* tears a frame the
-      // startup reconciliation re-appends to a session WAL.
+      // points above (its DurableJournal appends without syncing; the
+      // group-commit worker syncs), so only the server's own steps are
+      // listed here: enqueue.pre sits between the session append and the
+      // group-commit enqueue; batch.pre is the worker taking a batch whose
+      // frames are written but not yet synced; group.sync.post models a
+      // crash after the batch's sync but before any waiting client is
+      // acknowledged; ack.pre sits between two acknowledgements.
       "server.commit.enqueue.pre",
-      "server.batch.pre",                "server.gwal.frame.header.post",
-      "server.gwal.frame.mid",           "server.gwal.frame.post",
-      "server.gwal.sync.post",           "server.ack.pre",
-      "server.recover.reconcile.pre",
-      "server.reconcile.frame.header.post", "server.reconcile.frame.mid",
-      "server.reconcile.frame.post",
-      // gwal retention crash points, mirroring persist.compact.*: tmp-file
-      // tears before the rename commit point, then the rename straddle.
-      "server.gwal.compact.pre",
-      "server.gwal.compact.mark.header.post",
-      "server.gwal.compact.mark.mid",
-      "server.gwal.compact.mark.post",
-      "server.gwal.compact.frame.header.post",
-      "server.gwal.compact.frame.mid",
-      "server.gwal.compact.frame.post",
-      "server.gwal.compact.tmp.synced",
-      "server.gwal.compact.rename.pre",
-      "server.gwal.compact.rename.post",
+      "server.batch.pre",
+      "server.group.sync.post",
+      "server.ack.pre",
       // Session eviction (passivation/reactivation) crash points. The
       // final durable snapshot and the WAL rewrite cross persist.snapshot.*
       // and persist.compact.*; evict.pre precedes them; release.pre sits

@@ -419,13 +419,14 @@ TEST_F(JournalCrash, CrashDuringRecoveryTruncationIsRecoverable) {
   ExpectEquivalent(reference, *r.session, "recovery after recovery crash");
 }
 
-// Crashes during journal creation: a torn genesis frame is an unusable
-// journal (there is nothing to recover), a durable one is an empty
-// session.
+// Crashes during journal creation: a file without a whole genesis frame
+// (the crash came right after its directory entry was synced, or tore the
+// frame) is an unusable journal (there is nothing to recover), a durable
+// one is an empty session.
 TEST_F(JournalCrash, CrashDuringGenesisWrite) {
   for (const char* point :
-       {"persist.genesis.pre", "persist.genesis.header.post",
-        "persist.genesis.mid"}) {
+       {"persist.create.dir.synced", "persist.genesis.pre",
+        "persist.genesis.header.post", "persist.genesis.mid"}) {
     const std::string path = TmpPath("genesis");
     Session s(Parse(kSource));
     FaultInjector::Instance().Arm(point, 1);

@@ -607,7 +607,7 @@ TEST_F(Durable, RefusedCommitsLeaveTheIdCountersWhereReplayHasThem) {
   Session s(Parse(kSource));
   bool refuse = false;
   auto wal = DurableJournal::Create(
-      s, path, {}, [&refuse](FrameType type, const std::string&) {
+      s, path, {}, [&refuse](FrameType type, WalWriter&) {
         if (type == FrameType::kTxn && refuse) {
           refuse = false;
           throw ProgramError("commit refused");
@@ -669,6 +669,46 @@ TEST_F(Durable, ARetiredDeltaFrameIsScannedButSkipped) {
   const std::vector<FrameType> expected = {
       FrameType::kGenesis, FrameType::kSnapshot, FrameType::kTxn};
   EXPECT_EQ(types, expected);
+}
+
+// Older version-3 builds wrote a " base <n>" clause into compacted
+// snapshots (the txn frames compaction had dropped from beneath the file).
+// Current builds no longer write it, but a file that carries one still
+// recovers from that snapshot, and the journal appends and compacts on.
+TEST_F(Durable, ASnapshotWithTheRetiredBaseClauseStillRecovers) {
+  const std::string path = TmpPath("retired_base");
+  Session s(Parse(kSource));
+  PersistOptions opts;
+  opts.snapshot_interval = 3;
+  {
+    auto wal = DurableJournal::Create(s, path, opts);
+    RunWorkload(s);  // genesis, 3 txns, snapshot (covering 3), 1 txn
+  }
+  const WalScanResult scan = ScanWal(path);
+  ASSERT_EQ(scan.frames.size(), 6u);
+  ASSERT_EQ(scan.frames[4].type, FrameType::kSnapshot);
+  EXPECT_EQ(scan.frames[4].body.rfind("txns 3\n", 0), 0u);  // no clause
+  RewriteFrame(path, 4, FrameType::kSnapshot,
+               "txns 3 base 7\n" +
+                   DecodeSnapshotBody(scan.frames[4].body).payload);
+  EXPECT_EQ(DecodeSnapshotBody(ScanWal(path).frames[4].body).txns, 3u);
+
+  RecoverResult r = Session::Recover(path);
+  EXPECT_TRUE(r.report.used_snapshot);
+  EXPECT_EQ(r.report.snapshot_txns, 3u);
+  EXPECT_EQ(r.report.txns_replayed, 1u);
+  EXPECT_TRUE(r.report.errors.empty());
+  ExpectEquivalent(s, *r.session, "recovery from a snapshot with a base");
+
+  auto wal = DurableJournal::Reattach(*r.session, path, r.report, opts);
+  wal->Compact();
+  EXPECT_EQ(wal->txns_written(), 1u);
+  wal.reset();
+  const WalScanResult compacted = ScanWal(path);
+  ASSERT_EQ(compacted.frames.size(), 3u);
+  EXPECT_EQ(compacted.frames[1].body.rfind("txns 0\n", 0), 0u);
+  ExpectEquivalent(s, *Session::Recover(path).session,
+                   "recovery after compacting it");
 }
 
 // A snapshot frame that scans (valid CRC) but does not decode is ignored:

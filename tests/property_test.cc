@@ -8,6 +8,8 @@
 #include <algorithm>
 
 #include <iterator>
+#include <ostream>
+#include <string>
 
 #include "pivot/core/session.h"
 #include "pivot/ir/diff.h"
@@ -140,8 +142,28 @@ std::vector<PropertyParams> MakeParams() {
   return params;
 }
 
+// How gtest (and so ctest's test list) shows a case's parameter. Without
+// it gtest dumps the struct's raw bytes, padding included, and the test
+// ids change from build to build.
+void PrintTo(const PropertyParams& params, std::ostream* os) {
+  *os << "seed " << params.seed << ", "
+      << (params.heuristic == UndoOptions::Heuristic::kPublished
+              ? "published"
+              : "conservative")
+      << ", " << (params.regional ? "regional" : "global");
+}
+
+std::string ParamsName(const ::testing::TestParamInfo<PropertyParams>& info) {
+  const PropertyParams& params = info.param;
+  return "seed" + std::to_string(params.seed) + "_" +
+         (params.heuristic == UndoOptions::Heuristic::kPublished
+              ? "published"
+              : "conservative") +
+         (params.regional ? "_regional" : "_global");
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomizedUndo,
-                         ::testing::ValuesIn(MakeParams()));
+                         ::testing::ValuesIn(MakeParams()), ParamsName);
 
 // Reverse-order undo over random programs always restores the original.
 class ReverseOrderProperty : public ::testing::TestWithParam<std::uint64_t> {

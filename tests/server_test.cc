@@ -1,8 +1,8 @@
 // Functional suite for the multi-session server: protocol codecs and
-// framing, session lifecycle over Execute, group-commit statistics,
-// admission control, deadlines, transient-fault absorption vs permanent-
-// fault degradation, journal flocks, drain, reconciliation of per-session
-// WALs from the group log, and client disconnects mid-transaction.
+// framing, session lifecycle over Execute, group-commit statistics and
+// sync choice, admission control, deadlines, transient-fault absorption vs
+// permanent-fault degradation, journal flocks, drain, the refusal of an
+// older build's group log, and client disconnects mid-transaction.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -163,6 +163,23 @@ TEST_F(ServerTest, FramingDetectsCorruptionAndEof) {
   ::close(fds[1]);
 }
 
+// The group-log retention verb is gone, but its slot stays: kShutdown keeps
+// its wire value, and a client still sending "compact" gets a typed
+// refusal instead of a dropped connection.
+TEST_F(ServerTest, TheRetiredCompactVerbIsABadRequest) {
+  EXPECT_EQ(static_cast<int>(ServerOp::kShutdown), 15);
+  const Request compact =
+      DecodeRequest(EncodeRequest(Req(ServerOp::kRetiredCompact)));
+  EXPECT_EQ(compact.op, ServerOp::kRetiredCompact);
+
+  const std::string dir = FreshDir("retired_compact");
+  PivotServer server(Opts(dir));
+  const Response resp = server.Execute(compact);
+  EXPECT_EQ(resp.status, StatusCode::kBadRequest);
+  EXPECT_NE(resp.error.find("retired"), std::string::npos) << resp.error;
+  EXPECT_EQ(server.mode(), ServerMode::kServing);
+}
+
 TEST_F(ServerTest, StatusRetryabilityIsTyped) {
   EXPECT_TRUE(StatusRetryable(StatusCode::kOverloaded));
   EXPECT_TRUE(StatusRetryable(StatusCode::kShuttingDown));
@@ -309,10 +326,60 @@ TEST_F(ServerTest, GroupCommitBatchesConcurrentCommitters) {
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.mode, ServerMode::kServing);  // transients were absorbed
   EXPECT_GT(stats.transient_absorbed, 0u);
-  // kSessions genesis frames + kSessions txn frames went through the log.
+  // kSessions genesis frames + kSessions txn frames were group-committed,
+  // one sync per batch.
   EXPECT_EQ(stats.group.frames, static_cast<std::uint64_t>(2 * kSessions));
-  EXPECT_LE(stats.group.fsyncs, stats.group.frames);
+  EXPECT_EQ(stats.group.fsyncs, stats.group.batches);
   EXPECT_GE(stats.group.max_batch, 2u) << "no batching happened";
+}
+
+// A batch whose tickets all name one file costs one sync of that file.
+TEST_F(ServerTest, AOneSessionBatchCostsOneSyncOfItsFile) {
+  const std::string dir = FreshDir("one_file_batch");
+  std::filesystem::create_directories(dir);
+  GroupCommitter group(dir, GroupCommitOptions{}, nullptr);
+  WalWriter writer = WalWriter::Create(dir + "/s.wal");
+  for (int i = 0; i < 3; ++i) {
+    writer.AppendFrame(FrameType::kTxn, "body", /*fsync=*/false, "test");
+    group.Commit(writer);
+  }
+  const GroupCommitStats stats = group.stats();
+  EXPECT_EQ(stats.frames, 3u);
+  EXPECT_EQ(stats.batches, 3u);  // one committer: every batch is one ticket
+  EXPECT_EQ(stats.fsyncs, 3u);
+}
+
+// A batch spanning several files costs one syncfs of the data dir, not a
+// sync per file. The first commit's sync is slowed by absorbed transient
+// faults so the other committers queue up behind it as one batch.
+TEST_F(ServerTest, ABatchSpanningSessionsCostsOneSyncfs) {
+  const std::string dir = FreshDir("many_file_batch");
+  std::filesystem::create_directories(dir);
+  GroupCommitter group(dir, GroupCommitOptions{}, nullptr);
+  constexpr int kFiles = 8;
+  std::vector<WalWriter> writers;
+  for (int i = 0; i < kFiles; ++i) {
+    writers.push_back(
+        WalWriter::Create(dir + "/s" + std::to_string(i) + ".wal"));
+    writers.back().AppendFrame(FrameType::kTxn, "body", /*fsync=*/false,
+                               "test");
+  }
+  FaultInjector::Instance().ArmTransient("wal.fsync.transient",
+                                         kMaxIoAttempts - 1);
+  std::latch start(kFiles);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kFiles; ++i) {
+    threads.emplace_back([&group, &writers, &start, i] {
+      start.arrive_and_wait();
+      group.Commit(writers[static_cast<std::size_t>(i)]);
+    });
+  }
+  for (auto& t : threads) t.join();
+  const GroupCommitStats stats = group.stats();
+  EXPECT_EQ(stats.frames, static_cast<std::uint64_t>(kFiles));
+  EXPECT_GE(stats.max_batch, 2u) << "no batching happened";
+  // Every batch, the multi-file ones included, cost exactly one sync.
+  EXPECT_EQ(stats.fsyncs, stats.batches);
 }
 
 TEST_F(ServerTest, PerCommitModePaysOneFsyncPerFrame) {
@@ -334,12 +401,13 @@ TEST_F(ServerTest, PerCommitModePaysOneFsyncPerFrame) {
 
 TEST_F(ServerTest, GroupQueueBoundRejectsAsOverloaded) {
   const std::string dir = FreshDir("queuebound");
+  std::filesystem::create_directories(dir);
   GroupCommitOptions options;
   options.max_queue = 0;  // everything is over the bound
-  GroupCommitLog log(dir + ".gwal", /*create=*/true, options, nullptr);
-  EXPECT_THROW(log.Commit("s", FrameType::kTxn, "body"),
-               ServerOverloadedError);
-  EXPECT_EQ(log.stats().rejected_full, 1u);
+  GroupCommitter group(dir, options, nullptr);
+  WalWriter writer = WalWriter::Create(dir + "/s.wal");
+  EXPECT_THROW(group.Commit(writer), ServerOverloadedError);
+  EXPECT_EQ(group.stats().rejected_full, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -468,6 +536,14 @@ TEST_F(ServerTest, PermanentSessionWalFaultDegradesToReadOnly) {
   EXPECT_EQ(faulted.status, StatusCode::kDegraded);
   EXPECT_FALSE(faulted.retryable);
   EXPECT_EQ(server.mode(), ServerMode::kDegraded);
+  // The server says why it degraded: in its stats and on the wire.
+  EXPECT_EQ(server.stats().degraded_reason.rfind(
+                "session journal write fault: ", 0),
+            0u)
+      << server.stats().degraded_reason;
+  EXPECT_NE(server.Execute(Req(ServerOp::kStats)).text.find(
+                " degraded_reason=session journal write fault: "),
+            std::string::npos);
 
   // Degraded mode: reads and undo planning still served...
   Session reference{Parse(kSource)};
@@ -492,23 +568,31 @@ TEST_F(ServerTest, PermanentSessionWalFaultDegradesToReadOnly) {
 }
 
 TEST_F(ServerTest, PermanentGroupFsyncFaultDegradesAndLosesNothingAcked) {
-  const std::string dir = FreshDir("degrade_gwal");
+  const std::string dir = FreshDir("degrade_group_sync");
   {
     PivotServer server(Opts(dir));
     Request open = Req(ServerOp::kOpen, "s1");
     open.source = kSource;
     ASSERT_EQ(server.Execute(open).status, StatusCode::kOk);
+    EXPECT_EQ(server.stats().degraded_reason, "");
+    EXPECT_NE(server.Execute(Req(ServerOp::kStats)).text.find(
+                  " degraded_reason="),
+              std::string::npos);
     ASSERT_EQ(server.Execute(ApplyReq("s1", TransformKind::kCfo)).status,
               StatusCode::kOk);
 
-    // The session WAL appends fine (it never syncs); the *group* fsync
-    // exhausts its retries — the shared log is the organ that fails.
+    // The session WAL append goes through (the journal does not sync it);
+    // the group-commit worker's sync of the file exhausts its retries.
     FaultInjector::Instance().ArmTransient("wal.fsync.transient", 100000);
     const Response faulted =
         server.Execute(ApplyReq("s1", TransformKind::kCfo));
     FaultInjector::Instance().Reset();
     EXPECT_EQ(faulted.status, StatusCode::kDegraded);
     EXPECT_EQ(server.mode(), ServerMode::kDegraded);
+    EXPECT_EQ(server.stats().degraded_reason.rfind("group commit sync fault: ",
+                                                   0),
+              0u)
+        << server.stats().degraded_reason;
 
     // The failed commit rolled back everywhere, including the session WAL.
     Session reference{Parse(kSource)};
@@ -601,154 +685,45 @@ TEST_F(ServerTest, DrainUnderConcurrentLoadLosesNoAckedCommit) {
 }
 
 // Regression: Drain used to report "drained" once the queue was empty,
-// while the worker could still hold an in-flight batch whose group fsync
-// had not returned — letting the process exit with acknowledged-to-be-
-// written frames not yet durable. Slow the fsync down with transient
-// faults (the WAL layer's retry loop backs off exponentially, so 15 of a
-// 16-attempt budget pins the worker mid-sync for tens of milliseconds)
-// and drain straight into that window.
+// while the worker could still hold an in-flight batch whose sync had not
+// returned — letting the process exit with acknowledged-to-be-written
+// frames not yet durable. Slow the sync down with transient faults (the
+// WAL layer's retry loop backs off exponentially, so 15 of a 16-attempt
+// budget pins the worker mid-sync) and drain straight into that window.
 TEST_F(ServerTest, DrainWaitsOutAnInFlightBatchMidFsync) {
   const std::string dir = FreshDir("drain_inflight");
   std::filesystem::create_directories(dir);
-  GroupCommitLog log(dir + "/g.gwal", /*create=*/true, GroupCommitOptions{},
-                     nullptr);
+  GroupCommitter group(dir, GroupCommitOptions{}, nullptr);
+  WalWriter writer = WalWriter::Create(dir + "/s.wal");
+  writer.AppendFrame(FrameType::kTxn, "the final batch", /*fsync=*/false,
+                     "test");
   FaultInjector::Instance().ArmTransient("wal.fsync.transient", 15);
-  std::thread committer([&log] {
-    log.Commit("s", FrameType::kTxn, "the final batch");
-  });
-  // Let the worker swap the frame out of the queue into its batch.
+  std::thread committer([&group, &writer] { group.Commit(writer); });
+  // Let the worker swap the ticket out of the queue into its batch.
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  log.Drain();
-  // Drained means durable: the batch was appended AND group-fsynced before
-  // Drain returned, not merely dequeued.
-  const GroupCommitStats stats = log.stats();
+  group.Drain();
+  // Drained means durable: the batch was synced before Drain returned, not
+  // merely dequeued.
+  const GroupCommitStats stats = group.stats();
   EXPECT_EQ(stats.frames, 1u);
   EXPECT_EQ(stats.batches, 1u);
   EXPECT_GE(stats.fsyncs, 1u);
   committer.join();
-  EXPECT_EQ(log.failure(), GroupCommitLog::Failure::kNone);
+  EXPECT_EQ(group.failure(), GroupCommitter::Failure::kNone);
 }
 
 TEST_F(ServerTest, CommitRacingDrainIsShuttingDownNotDegraded) {
   const std::string dir = FreshDir("drain_race");
   std::filesystem::create_directories(dir);
-  GroupCommitLog log(dir + "/race.gwal", /*create=*/true, GroupCommitOptions{},
-                     nullptr);
-  log.Commit("s", FrameType::kTxn, "body");  // the normal path works
-  log.Drain();
+  GroupCommitter group(dir, GroupCommitOptions{}, nullptr);
+  WalWriter writer = WalWriter::Create(dir + "/s.wal");
+  group.Commit(writer);  // the normal path works
+  group.Drain();
   // A committer that slipped past the server's mode gate while the drain
   // flushed: refused as a retryable shutdown, never reported as the
   // non-retryable write-fault degradation.
-  EXPECT_THROW(log.Commit("s", FrameType::kTxn, "late"),
-               ServerShuttingDownError);
-  EXPECT_EQ(log.failure(), GroupCommitLog::Failure::kNone);
-}
-
-// ---------------------------------------------------------------------------
-// gwal retention
-// ---------------------------------------------------------------------------
-
-TEST_F(ServerTest, CompactDropsCoveredGroupFramesAndSurvivesRestart) {
-  const std::string dir = FreshDir("gwal_compact");
-  Session ref1(Parse(kSource));
-  Session ref2(Parse(kSource));
-  {
-    PivotServer server(Opts(dir));
-    for (const char* name : {"s1", "s2"}) {
-      Request open = Req(ServerOp::kOpen, name);
-      open.source = kSource;
-      ASSERT_EQ(server.Execute(open).status, StatusCode::kOk);
-    }
-    // Interleaved traffic: s1 applies and undoes, s2 only applies.
-    for (int i = 0; i < 3; ++i) {
-      ASSERT_EQ(server.Execute(ApplyReq("s1", TransformKind::kCfo)).status,
-                StatusCode::kOk);
-      ASSERT_EQ(server.Execute(ApplyReq("s2", TransformKind::kCfo, 1)).status,
-                StatusCode::kOk);
-      ASSERT_EQ(server.Execute(Req(ServerOp::kUndoLast, "s1")).status,
-                StatusCode::kOk);
-      ASSERT_EQ(server.Execute(Req(ServerOp::kUndoLast, "s2")).status,
-                StatusCode::kOk);
-      ASSERT_TRUE(ref1.ApplyFirst(TransformKind::kCfo).has_value());
-      ref2.Apply(ref2.FindOpportunities(TransformKind::kCfo)[1]);
-      ref1.UndoLast();
-      ref2.UndoLast();
-    }
-
-    const std::uint64_t before =
-        std::filesystem::file_size(server.GroupWalPath());
-    const Response resp = server.Execute(Req(ServerOp::kCompact));
-    ASSERT_EQ(resp.status, StatusCode::kOk) << resp.error;
-    EXPECT_NE(resp.text.find("bytes after compaction"), std::string::npos);
-    const std::uint64_t after =
-        std::filesystem::file_size(server.GroupWalPath());
-    EXPECT_LT(after, before);
-    EXPECT_EQ(resp.value, after);
-    EXPECT_EQ(server.stats().group.compactions, 1u);
-
-    // Commits keep working after the pass; a second pass reclaims the new
-    // envelope too.
-    ASSERT_EQ(server.Execute(ApplyReq("s1", TransformKind::kCfo)).status,
-              StatusCode::kOk);
-    ASSERT_TRUE(ref1.ApplyFirst(TransformKind::kCfo).has_value());
-    ASSERT_EQ(server.Execute(Req(ServerOp::kCompact)).status, StatusCode::kOk);
-    EXPECT_EQ(server.stats().group.compactions, 2u);
-    server.Drain();
-  }
-
-  // Restart: reconciliation must accept the reclaimed (marked) prefix of
-  // each session WAL and recover every acknowledged commit.
-  PivotServer server(Opts(dir));
-  ASSERT_EQ(server.Execute(Req(ServerOp::kRecover, "s1")).status,
-            StatusCode::kOk);
-  ASSERT_EQ(server.Execute(Req(ServerOp::kRecover, "s2")).status,
-            StatusCode::kOk);
-  EXPECT_EQ(server.Execute(Req(ServerOp::kSource, "s1")).text, ref1.Source());
-  EXPECT_EQ(server.Execute(Req(ServerOp::kSource, "s2")).text, ref2.Source());
-  EXPECT_EQ(server.Execute(Req(ServerOp::kHistory, "s1")).text,
-            ref1.HistoryToString());
-  EXPECT_EQ(server.Execute(Req(ServerOp::kHistory, "s2")).text,
-            ref2.HistoryToString());
-}
-
-TEST_F(ServerTest, AutoCompactionBoundsTheGroupLog) {
-  const std::string dir = FreshDir("gwal_auto");
-  Session ref(Parse(kSource));
-  std::uint64_t peak = 0;
-  {
-    ServerOptions options = Opts(dir);
-    options.gwal_compact_bytes = 2048;
-    PivotServer server(std::move(options));
-    Request open = Req(ServerOp::kOpen, "s1");
-    open.source = kSource;
-    ASSERT_EQ(server.Execute(open).status, StatusCode::kOk);
-    for (int i = 0; i < 40; ++i) {
-      const bool undo = i % 2 == 1;
-      const Response r =
-          undo ? server.Execute(Req(ServerOp::kUndoLast, "s1"))
-               : server.Execute(ApplyReq("s1", TransformKind::kCfo));
-      ASSERT_EQ(r.status, StatusCode::kOk) << "step " << i << ": " << r.error;
-      if (undo) {
-        ref.UndoLast();
-      } else {
-        ASSERT_TRUE(ref.ApplyFirst(TransformKind::kCfo).has_value());
-      }
-      peak = std::max(peak,
-                      std::filesystem::file_size(server.GroupWalPath()));
-    }
-    EXPECT_GE(server.stats().group.compactions, 1u);
-    // Threshold + one envelope bounds the log; without retention these 40
-    // commits would pile up far beyond it.
-    EXPECT_LT(peak, 3072u);
-    server.Drain();
-  }
-
-  PivotServer server(Opts(dir));
-  ASSERT_EQ(server.Execute(Req(ServerOp::kRecover, "s1")).status,
-            StatusCode::kOk);
-  EXPECT_EQ(server.Execute(Req(ServerOp::kSource, "s1")).text, ref.Source());
-  EXPECT_EQ(server.Execute(Req(ServerOp::kHistory, "s1")).text,
-            ref.HistoryToString());
+  EXPECT_THROW(group.Commit(writer), ServerShuttingDownError);
+  EXPECT_EQ(group.failure(), GroupCommitter::Failure::kNone);
 }
 
 TEST_F(ServerTest, FailedOpenLeavesNoStaleJournal) {
@@ -783,6 +758,30 @@ TEST_F(ServerTest, SecondServerOnTheSameDataDirIsRefused) {
   EXPECT_THROW(PivotServer second(Opts(dir)), ProgramError);
 }
 
+// An older build's shared group log may hold the only copy of
+// acknowledged commits (it was the durability point, the session files
+// were synced lazily). This build cannot read it, so it refuses the data
+// dir, naming the file, and leaves everything as it was.
+TEST_F(ServerTest, ADataDirHoldingAGroupLogIsRefused) {
+  const std::string dir = FreshDir("old_group_log");
+  { PivotServer server(Opts(dir)); }
+  const std::string gwal = dir + "/server.gwal";
+  WalWriter::Create(gwal).Close();
+  try {
+    PivotServer server(Opts(dir));
+    FAIL() << "a data dir holding server.gwal must be refused";
+  } catch (const ProgramError& e) {
+    EXPECT_NE(std::string(e.what()).find(gwal), std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(std::filesystem::exists(gwal));
+  // The refusal released the data dir: once the file is dealt with, a
+  // server starts there.
+  std::filesystem::remove(gwal);
+  PivotServer server(Opts(dir));
+  EXPECT_EQ(server.mode(), ServerMode::kServing);
+}
+
 TEST_F(ServerTest, RecoverRefusesAJournalHeldByALiveServer) {
   const std::string dir = FreshDir("flock_recover");
   PivotServer server(Opts(dir));
@@ -815,72 +814,6 @@ TEST_F(ServerTest, FileLockIsHeldProbe) {
     EXPECT_THROW(FileLock::Acquire(path), ProgramError);
   }
   EXPECT_FALSE(FileLock::IsHeld(path));  // released on destruction
-}
-
-// ---------------------------------------------------------------------------
-// Reconciliation
-// ---------------------------------------------------------------------------
-
-// Simulates the crash mode group commit exists for: the per-session WAL
-// (never individually fsynced) lost its tail, while the group log kept the
-// acked frames. Reconciliation must re-append them.
-TEST_F(ServerTest, ReconciliationRebuildsALostSessionWalTail) {
-  const std::string dir = FreshDir("reconcile_tail");
-  Session reference{Parse(kSource)};
-  {
-    PivotServer server(Opts(dir));
-    Request open = Req(ServerOp::kOpen, "s1");
-    open.source = kSource;
-    ASSERT_EQ(server.Execute(open).status, StatusCode::kOk);
-    ASSERT_EQ(server.Execute(ApplyReq("s1", TransformKind::kCfo)).status,
-              StatusCode::kOk);
-    ASSERT_EQ(server.Execute(ApplyReq("s1", TransformKind::kCfo)).status,
-              StatusCode::kOk);
-    server.Drain();
-  }
-  ASSERT_TRUE(reference.ApplyFirst(TransformKind::kCfo).has_value());
-  ASSERT_TRUE(reference.ApplyFirst(TransformKind::kCfo).has_value());
-
-  // Chop both txn frames off the session WAL (the unsynced page the crash
-  // ate), keeping only the genesis.
-  const std::string swal = dir + "/s1.wal";
-  const WalScanResult scan = ScanWal(swal);
-  ASSERT_EQ(scan.frames.size(), 3u);
-  TruncateWal(swal, scan.frames[0].end_offset);
-
-  PivotServer server(Opts(dir));
-  const Response recovered = server.Execute(Req(ServerOp::kRecover, "s1"));
-  ASSERT_EQ(recovered.status, StatusCode::kOk) << recovered.error;
-  EXPECT_EQ(recovered.value, 2u) << recovered.text;
-  EXPECT_EQ(server.Execute(Req(ServerOp::kSource, "s1")).text,
-            reference.Source());
-  EXPECT_EQ(server.Execute(Req(ServerOp::kHistory, "s1")).text,
-            reference.HistoryToString());
-}
-
-TEST_F(ServerTest, ReconciliationRebuildsAFullyLostSessionWal) {
-  const std::string dir = FreshDir("reconcile_whole");
-  Session reference{Parse(kSource)};
-  {
-    PivotServer server(Opts(dir));
-    Request open = Req(ServerOp::kOpen, "s1");
-    open.source = kSource;
-    ASSERT_EQ(server.Execute(open).status, StatusCode::kOk);
-    ASSERT_EQ(server.Execute(ApplyReq("s1", TransformKind::kCfo)).status,
-              StatusCode::kOk);
-    server.Drain();
-  }
-  ASSERT_TRUE(reference.ApplyFirst(TransformKind::kCfo).has_value());
-
-  // The whole session file vanished; every acked frame is still in the
-  // group log.
-  ASSERT_EQ(std::remove((dir + "/s1.wal").c_str()), 0);
-
-  PivotServer server(Opts(dir));
-  const Response recovered = server.Execute(Req(ServerOp::kRecover, "s1"));
-  ASSERT_EQ(recovered.status, StatusCode::kOk) << recovered.error;
-  EXPECT_EQ(server.Execute(Req(ServerOp::kSource, "s1")).text,
-            reference.Source());
 }
 
 // ---------------------------------------------------------------------------
@@ -1077,7 +1010,7 @@ TEST_F(ServerTest, PassivationCompactsTheWalAndRecoveryStillReconciles) {
     reference.UndoLast();
 
     // Evict s1. Its WAL is rewritten down to genesis + snapshot: the three
-    // committed txn frames move beneath the snapshot's `base` clause.
+    // committed txn frames are folded into the snapshot.
     Request open2 = Req(ServerOp::kOpen, "s2");
     open2.source = kSource;
     ASSERT_EQ(server.Execute(open2).status, StatusCode::kOk);
@@ -1086,15 +1019,16 @@ TEST_F(ServerTest, PassivationCompactsTheWalAndRecoveryStillReconciles) {
     const WalScanResult scan = ScanWal(server.SessionWalPath("s1"));
     ASSERT_TRUE(scan.truncation_reason.empty()) << scan.truncation_reason;
     std::size_t txn_frames = 0;
-    std::uint64_t base = 0;
+    std::size_t snapshots = 0;
     for (const WalFrame& f : scan.frames) {
       if (f.type == FrameType::kTxn) ++txn_frames;
       if (f.type == FrameType::kSnapshot) {
-        base = DecodeSnapshotBody(f.body).base;
+        ++snapshots;
+        EXPECT_EQ(DecodeSnapshotBody(f.body).txns, 0u);  // rebased
       }
     }
     EXPECT_EQ(txn_frames, 0u);  // all three were folded into the snapshot
-    EXPECT_EQ(base, 3u);
+    EXPECT_EQ(snapshots, 1u);
 
     // Reactivation recovers the compacted file transparently.
     EXPECT_EQ(server.Execute(Req(ServerOp::kSource, "s1")).text,
@@ -1103,8 +1037,7 @@ TEST_F(ServerTest, PassivationCompactsTheWalAndRecoveryStillReconciles) {
     server.Drain();
   }
 
-  // A fresh server reconciles the compacted WAL against the group log by
-  // absolute txn index (the base clause) and recovers the same state.
+  // A fresh server recovers the compacted WAL to the same state.
   PivotServer server(Opts(dir));
   const Response recovered = server.Execute(Req(ServerOp::kRecover, "s1"));
   ASSERT_EQ(recovered.status, StatusCode::kOk) << recovered.error;
@@ -1284,9 +1217,8 @@ TEST_F(ServerTest, ReactivationRefusesANewerFormatVersion) {
   EXPECT_EQ(retried.text, Session{Parse(kSource)}.Source());
 }
 
-// The same refusal through kRecover on a fresh server, whose first step
-// aligns the session file against the group log: a newer build's file is
-// refused as it stands, not rewritten from the group log's frames.
+// The same refusal through kRecover on a fresh server: a newer build's
+// file is refused as it stands, never rewritten.
 TEST_F(ServerTest, RecoveryOnAFreshServerRefusesANewerFormatVersion) {
   const std::string dir = FreshDir("recover_newer_version");
   std::string wal;

@@ -1,13 +1,12 @@
-// Growth soak (ci/run_growth_soak.sh): drives the two journal-growth
-// fixes long enough for their byte bounds to mean something, and exits
-// non-zero when a bound is violated.
+// Growth soak (ci/run_growth_soak.sh): drives journal compaction long
+// enough for its byte bound to mean something, then a many-client server
+// workload, and exits non-zero when a check fails.
 //
 // The live image of a long apply/undo session legitimately grows with
-// its history (undo state IS state), so neither journal can promise a
-// constant size. What retention promises — and what this soak asserts —
+// its history (undo state IS state), so a journal cannot promise a
+// constant size. What compaction promises — and what this soak asserts —
 // is relative: the file tracks the live state instead of accumulating
-// every frame ever written. Each phase therefore runs its workload
-// twice, with the growth fix off and on, and gates on the ratio:
+// every frame ever written.
 //
 //   * Session phase: PIVOT_GROWTH_OPS (default 10000) alternating
 //     apply/undo commits against one DurableJournal with snapshots,
@@ -17,11 +16,8 @@
 //
 //   * Server phase: PIVOT_GROWTH_CLIENTS (default 64) threads, each
 //     committing PIVOT_GROWTH_CLIENT_OPS (default 256) operations
-//     against its own hosted session, server.gwal retention off vs on.
-//     The retained log's peak must be >= 2x below the unretained one
-//     (a saturated burst can outrun the pass, so the margin is modest),
-//     a quiesced explicit pass must then reclaim the log to below the
-//     retention threshold, and a restart must recover every session.
+//     against its own hosted session under group commit; a restart must
+//     then recover every session.
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -86,7 +82,7 @@ SessionRun RunSessionWorkload(const std::string& path, int ops,
   opts.compact = compact;
   // A no-op ack: growth bounds, not fsync cost, are under test.
   auto wal = DurableJournal::Create(s, path, opts,
-                                    [](FrameType, const std::string&) {});
+                                    [](FrameType, WalWriter&) {});
   for (int op = 0; op < ops; ++op) {
     if (!Step(s, op)) {
       std::fprintf(stderr, "session phase: no fold site at op %d\n", op);
@@ -139,26 +135,16 @@ bool SessionPhase(const std::string& dir) {
   return true;
 }
 
-struct ServerRun {
-  std::uint64_t peak = 0;
-  std::uint64_t passes = 0;
-  std::uint64_t final_bytes = 0;  // after a quiesced explicit pass
-  bool ok = false;
-};
-
-ServerRun RunServerWorkload(const std::string& dir, int clients, int ops,
-                            std::uint64_t threshold) {
-  ServerRun run;
+// Commits `ops` operations from each of `clients` threads, each against
+// its own session, then drains. Returns false on any failed request.
+bool RunServerWorkload(const std::string& dir, int clients, int ops) {
   ServerOptions options;
   options.data_dir = dir;
-  options.gwal_compact_bytes = threshold;
   options.max_inflight = clients + 16;
   options.commit.max_queue = 2 * clients + 16;
 
-  std::atomic<std::uint64_t> peak{0};
   std::atomic<bool> failed{false};
   PivotServer server(std::move(options));
-  const std::string gwal_path = server.GroupWalPath();
   for (int i = 0; i < clients; ++i) {
     Request open;
     open.op = ServerOp::kOpen;
@@ -168,14 +154,14 @@ ServerRun RunServerWorkload(const std::string& dir, int clients, int ops,
     if (resp.status != StatusCode::kOk) {
       std::fprintf(stderr, "server phase: open failed: %s\n",
                    resp.error.c_str());
-      return run;
+      return false;
     }
   }
 
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(clients));
   for (int i = 0; i < clients; ++i) {
-    threads.emplace_back([&server, &peak, &failed, &gwal_path, i, ops] {
+    threads.emplace_back([&server, &failed, i, ops] {
       const std::string name = "s" + std::to_string(i);
       for (int op = 0; op < ops; ++op) {
         Request req;
@@ -194,81 +180,32 @@ ServerRun RunServerWorkload(const std::string& dir, int clients, int ops,
           failed.store(true);
           return;
         }
-        std::error_code ec;
-        const std::uint64_t bytes =
-            std::filesystem::file_size(gwal_path, ec);
-        if (ec) continue;
-        std::uint64_t seen = peak.load();
-        while (bytes > seen && !peak.compare_exchange_weak(seen, bytes)) {
-        }
       }
     });
   }
   for (std::thread& t : threads) t.join();
-  if (failed.load()) return run;
-
-  // A quiesced pass: with no commit in flight, retention reclaims every
-  // covered envelope in one sweep.
-  Request compact;
-  compact.op = ServerOp::kCompact;
-  const Response resp = server.Execute(compact);
-  if (resp.status != StatusCode::kOk) {
-    std::fprintf(stderr, "server phase: explicit compact failed: %s\n",
-                 resp.error.c_str());
-    return run;
-  }
-  run.final_bytes = resp.value;
-  run.peak = peak.load();
-  run.passes = server.stats().group.compactions;
+  const GroupCommitStats group = server.stats().group;
+  std::printf(
+      "server phase: %d clients x %d ops; %llu commits in %llu syncs "
+      "(largest batch %llu)\n",
+      clients, ops, static_cast<unsigned long long>(group.frames),
+      static_cast<unsigned long long>(group.fsyncs),
+      static_cast<unsigned long long>(group.max_batch));
   server.Drain();
-  run.ok = true;
-  return run;
+  return !failed.load();
 }
 
 bool ServerPhase(const std::string& dir) {
   const int clients = EnvInt("PIVOT_GROWTH_CLIENTS", 64);
   const int ops = EnvInt("PIVOT_GROWTH_CLIENT_OPS", 256);
-  const std::uint64_t threshold = 64 * 1024;
+  if (!RunServerWorkload(dir, clients, ops)) return false;
 
-  std::filesystem::create_directories(dir);  // the server creates leaves
-  const ServerRun off =
-      RunServerWorkload(dir + "/plain", clients, ops, /*threshold=*/0);
-  const ServerRun on =
-      RunServerWorkload(dir + "/retained", clients, ops, threshold);
-  if (!off.ok || !on.ok) return false;
-
-  std::printf(
-      "server phase: %d clients x %d ops; unretained peak %llu bytes; "
-      "retained peak %llu bytes over %llu passes, %llu after the "
-      "quiesced pass (threshold %llu)\n",
-      clients, ops, static_cast<unsigned long long>(off.peak),
-      static_cast<unsigned long long>(on.peak),
-      static_cast<unsigned long long>(on.passes),
-      static_cast<unsigned long long>(on.final_bytes),
-      static_cast<unsigned long long>(threshold));
-  // The explicit quiesced pass counts too, so >= 2 means at least one
-  // pass fired under concurrent load.
-  if (on.passes < 2) {
-    std::fprintf(stderr, "server phase: retention never ran under load\n");
-    return false;
-  }
-  if (on.peak * 2 > off.peak) {
-    std::fprintf(stderr,
-                 "server phase: retained peak is not >=2x below the "
-                 "unretained log\n");
-    return false;
-  }
-  if (on.final_bytes > threshold) {
-    std::fprintf(stderr,
-                 "server phase: quiesced pass left the log above the "
-                 "retention threshold\n");
-    return false;
-  }
-
-  // Restart over the retained directory: retention must not have cost
-  // any acknowledged commit its recoverability.
+  // Restart over the same directory: every session recovers from its own
+  // journal to the state its commits left.
+  Session reference(Parse(kSource));
+  for (int op = 0; op < ops; ++op) Step(reference, op);
   ServerOptions reopen;
-  reopen.data_dir = dir + "/retained";
+  reopen.data_dir = dir;
   PivotServer server(std::move(reopen));
   for (int i = 0; i < clients; ++i) {
     Request recover;
@@ -278,6 +215,12 @@ bool ServerPhase(const std::string& dir) {
     if (resp.status != StatusCode::kOk) {
       std::fprintf(stderr, "server phase: recover(s%d) failed: %s\n", i,
                    resp.error.c_str());
+      return false;
+    }
+    Request source = recover;
+    source.op = ServerOp::kSource;
+    if (server.Execute(source).text != reference.Source()) {
+      std::fprintf(stderr, "server phase: s%d recovered another state\n", i);
       return false;
     }
   }

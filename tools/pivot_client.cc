@@ -16,7 +16,6 @@
 //   source NAME
 //   history NAME
 //   stats
-//   compact                     run a gwal retention pass now
 //   shutdown                    drain the server
 //
 // Retryable rejections (overloaded / shutting-down) are retried with
@@ -187,9 +186,6 @@ int main(int argc, char** argv) {
     } else if (verb == "stats") {
       need(0);
       req.op = pivot::ServerOp::kStats;
-    } else if (verb == "compact") {
-      need(0);
-      req.op = pivot::ServerOp::kCompact;
     } else if (verb == "shutdown") {
       need(0);
       req.op = pivot::ServerOp::kShutdown;

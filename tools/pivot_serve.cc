@@ -14,8 +14,8 @@
 // connections default to read deadlines (--idle-timeout/--read-deadline)
 // since a WAN peer can stall forever; pass 0 to disable.
 // SIGTERM/SIGINT drain gracefully: the listeners stop accepting,
-// in-flight requests finish, the group-commit log flushes and fsyncs,
-// then the process exits 0. A second signal exits immediately.
+// in-flight requests finish, every queued commit is synced to its session
+// journal, then the process exits 0. A second signal exits immediately.
 
 #include <csignal>
 #include <cstdlib>
