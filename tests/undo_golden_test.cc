@@ -1,6 +1,6 @@
 // Golden record of the undo engine's observable behaviour.
 //
-// For 12 generated fuzz schedules, three lockstep sessions run the apply
+// For 15 generated fuzz schedules, three lockstep sessions run the apply
 // and undo steps and end with one UndoSet of a seeded subset:
 //   * linear candidate scans with a decision trace attached,
 //   * indexed scans, untraced,
@@ -234,10 +234,13 @@ TEST(UndoGolden, EngineReproducesTheRecordedSchedules) {
   std::vector<std::string> actual;
   std::vector<const Block*> origin;  // the block each actual line came from
   std::vector<std::vector<Block>> runs;
-  runs.reserve(12);
-  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-    runs.push_back(RunSchedule(seed));
-  }
+  // Seeds 1-12, plus three whose cascades change which records the
+  // affected region contains after the index was queried: only the
+  // re-query past the last adjudicated stamp keeps the indexed scan
+  // equal to the history's there.
+  const std::uint64_t kSeeds[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12,
+                                  560, 711, 724};
+  for (const std::uint64_t seed : kSeeds) runs.push_back(RunSchedule(seed));
   FaultInjector::Instance().Reset();
   for (const std::vector<Block>& run : runs) {
     for (const Block& block : run) {
