@@ -1,7 +1,6 @@
 #include "pivot/core/undo_engine.h"
 
 #include <algorithm>
-#include <sstream>
 #include <unordered_set>
 
 #include "pivot/ir/stmt.h"
@@ -57,79 +56,6 @@ void UndoEngine::NoteDepthExhausted() {
   if (recovery_ != nullptr) ++recovery_->undo_depth_exhausted;
 }
 
-UndoStats UndoEngine::Undo(OrderStamp stamp) {
-  TransformRecord* rec = history_.FindByStamp(stamp);
-  PIVOT_CHECK_MSG(rec != nullptr, "unknown transformation stamp");
-  if (rec->is_edit) {
-    throw ProgramError("user edits cannot be undone by the transformation "
-                       "undo machinery");
-  }
-  if (rec->undone) return {};
-  UndoStats stats;
-  const std::uint64_t rebuilds_before = analyses_.rebuild_count();
-  const std::uint64_t crossings_before = FaultInjector::Instance().crossings();
-  UndoRec(*rec, stats, 0);
-  stats.analysis_rebuilds = analyses_.rebuild_count() - rebuilds_before;
-  stats.fault_crossings =
-      FaultInjector::Instance().crossings() - crossings_before;
-  return stats;
-}
-
-OrderStamp UndoEngine::UndoLast(UndoStats* stats) {
-  TransformRecord* rec = history_.LastLive();
-  if (rec == nullptr) return kNoStamp;
-  UndoStats local;
-  const std::uint64_t crossings_before = FaultInjector::Instance().crossings();
-  UndoRec(*rec, local, 0);
-  local.fault_crossings =
-      FaultInjector::Instance().crossings() - crossings_before;
-  if (stats != nullptr) *stats += local;
-  return rec->stamp;
-}
-
-bool UndoEngine::CanUndo(OrderStamp stamp, std::string* reason) {
-  TransformRecord* rec = history_.FindByStamp(stamp);
-  if (rec == nullptr || rec->is_edit || rec->undone) {
-    if (reason != nullptr) {
-      *reason = rec == nullptr    ? "unknown transformation"
-                : rec->is_edit    ? "edits are not undoable"
-                                  : "already undone";
-    }
-    return false;
-  }
-  // Walk the affecting chain without mutating anything: an undo is blocked
-  // exactly when the chain reaches an edit or an unidentifiable cause.
-  TransformRecord* cur = rec;
-  for (int guard = 0; guard < options_.max_depth; ++guard) {
-    const Transformation& t = GetTransformation(cur->kind);
-    const Reversibility rev =
-        t.CheckReversibility(analyses_, journal_, *cur);
-    if (rev.ok) return true;
-    if (rev.affecting == kNoStamp) {
-      if (reason != nullptr) {
-        *reason = "blocked: " + rev.condition +
-                  " (no affecting transformation identified)";
-      }
-      return false;
-    }
-    TransformRecord* next = history_.FindByStamp(rev.affecting);
-    if (next == nullptr || next->is_edit) {
-      if (reason != nullptr) {
-        *reason = "blocked by user edit (t" +
-                  std::to_string(rev.affecting) + "): " + rev.condition;
-      }
-      return false;
-    }
-    cur = next;
-  }
-  NoteDepthExhausted();
-  if (reason != nullptr) {
-    *reason = "affecting chain did not terminate within max_depth (" +
-              std::to_string(options_.max_depth) + ")";
-  }
-  return false;
-}
-
 namespace {
 
 UndoTraceEvent MakeEvent(UndoTraceEvent::Kind kind,
@@ -142,53 +68,137 @@ UndoTraceEvent MakeEvent(UndoTraceEvent::Kind kind,
   return event;
 }
 
+// Runs `body` and fills in the two counters measured around a whole undo.
+template <typename Body>
+UndoStats Measured(const AnalysisCache& analyses, Body&& body) {
+  UndoStats stats;
+  const std::uint64_t rebuilds_before = analyses.rebuild_count();
+  const std::uint64_t crossings_before = FaultInjector::Instance().crossings();
+  body(stats);
+  stats.analysis_rebuilds = analyses.rebuild_count() - rebuilds_before;
+  stats.fault_crossings =
+      FaultInjector::Instance().crossings() - crossings_before;
+  return stats;
+}
+
+// Why a stamp cannot start an undo at all (null when it can).
+const char* NotUndoable(const TransformRecord* rec) {
+  if (rec == nullptr) return "unknown transformation";
+  if (rec->is_edit) return "edits are not undoable";
+  if (rec->undone) return "already undone";
+  return nullptr;
+}
+
+std::string DepthExhausted(int max_depth) {
+  return "affecting chain did not terminate within max_depth (" +
+         std::to_string(max_depth) + ")";
+}
+
 }  // namespace
+
+UndoStats UndoEngine::Undo(OrderStamp stamp) {
+  TransformRecord* rec = history_.FindByStamp(stamp);
+  PIVOT_CHECK_MSG(rec != nullptr, "unknown transformation stamp");
+  if (rec->is_edit) {
+    throw ProgramError("user edits cannot be undone by the transformation "
+                       "undo machinery");
+  }
+  if (rec->undone) return {};
+  return Measured(analyses_, [&](UndoStats& stats) {
+    UndoOne(*rec, stats, 0, nullptr);
+  });
+}
+
+OrderStamp UndoEngine::UndoLast() {
+  TransformRecord* rec = history_.LastLive();
+  if (rec == nullptr) return kNoStamp;
+  UndoStats stats;
+  UndoOne(*rec, stats, 0, nullptr);
+  return rec->stamp;
+}
+
+UndoEngine::ChainWalk UndoEngine::WalkChain(const TransformRecord& rec) {
+  ChainWalk walk;
+  const TransformRecord* cur = &rec;
+  for (int guard = 0; guard < options_.max_depth; ++guard) {
+    const Reversibility rev =
+        GetTransformation(cur->kind).CheckReversibility(analyses_, journal_,
+                                                        *cur);
+    if (rev.ok) return walk;
+    walk.condition = rev.condition;
+    if (rev.affecting == kNoStamp) {
+      walk.end = ChainWalk::End::kUnidentified;
+      return walk;
+    }
+    const TransformRecord* next = history_.FindByStamp(rev.affecting);
+    if (next == nullptr || next->is_edit) {
+      walk.end = ChainWalk::End::kEdit;
+      walk.blocker = rev.affecting;
+      return walk;
+    }
+    walk.chain.push_back(next->stamp);
+    cur = next;
+  }
+  // Guard exhaustion is a blocked undo, not a success with a truncated
+  // chain.
+  NoteDepthExhausted();
+  walk.end = ChainWalk::End::kExhausted;
+  return walk;
+}
+
+bool UndoEngine::CanUndo(OrderStamp stamp, std::string* reason) {
+  const TransformRecord* rec = history_.FindByStamp(stamp);
+  std::string why;
+  if (const char* not_undoable = NotUndoable(rec)) {
+    why = not_undoable;
+  } else {
+    // An undo is blocked exactly when the chain reaches an edit or an
+    // unidentifiable cause.
+    const ChainWalk walk = WalkChain(*rec);
+    switch (walk.end) {
+      case ChainWalk::End::kResolved:
+        return true;
+      case ChainWalk::End::kUnidentified:
+        why = "blocked: " + walk.condition +
+              " (no affecting transformation identified)";
+        break;
+      case ChainWalk::End::kEdit:
+        why = "blocked by user edit (t" + std::to_string(walk.blocker) +
+              "): " + walk.condition;
+        break;
+      case ChainWalk::End::kExhausted:
+        why = DepthExhausted(options_.max_depth);
+        break;
+    }
+  }
+  if (reason != nullptr) *reason = std::move(why);
+  return false;
+}
 
 UndoEngine::UndoPreview UndoEngine::Preview(OrderStamp stamp) {
   UndoPreview preview;
-  TransformRecord* rec = history_.FindByStamp(stamp);
-  if (rec == nullptr || rec->is_edit || rec->undone) {
-    preview.blocked_reason = rec == nullptr  ? "unknown transformation"
-                             : rec->is_edit  ? "edits are not undoable"
-                                             : "already undone";
+  const TransformRecord* rec = history_.FindByStamp(stamp);
+  if (const char* not_undoable = NotUndoable(rec)) {
+    preview.blocked_reason = not_undoable;
     return preview;
   }
-  // Walk the affecting chain read-only. Each step names the transformation
-  // that must be undone first; in the real undo that unblocks the next
-  // check, which the preview approximates by following the chain head.
-  TransformRecord* cur = rec;
-  bool resolved = false;
-  for (int guard = 0; guard < options_.max_depth; ++guard) {
-    const Transformation& t = GetTransformation(cur->kind);
-    const Reversibility rev =
-        t.CheckReversibility(analyses_, journal_, *cur);
-    if (rev.ok) {
-      resolved = true;
+  ChainWalk walk = WalkChain(*rec);
+  switch (walk.end) {
+    case ChainWalk::End::kResolved:
       break;
-    }
-    if (rev.affecting == kNoStamp) {
-      preview.blocked_reason = "blocked: " + rev.condition;
+    case ChainWalk::End::kUnidentified:
+      preview.blocked_reason = "blocked: " + walk.condition;
       return preview;
-    }
-    TransformRecord* next = history_.FindByStamp(rev.affecting);
-    if (next == nullptr || next->is_edit) {
+    case ChainWalk::End::kEdit:
       preview.blocked_reason =
-          "blocked by user edit t" + std::to_string(rev.affecting);
+          "blocked by user edit t" + std::to_string(walk.blocker);
       return preview;
-    }
-    preview.affecting.push_back(next->stamp);
-    cur = next;
-  }
-  if (!resolved) {
-    // Guard exhaustion is a blocked undo, not a success with a truncated
-    // chain (the silent-truncation bug this replaced).
-    NoteDepthExhausted();
-    preview.blocked_reason =
-        "affecting chain did not terminate within max_depth (" +
-        std::to_string(options_.max_depth) + ")";
-    return preview;
+    case ChainWalk::End::kExhausted:
+      preview.blocked_reason = DepthExhausted(options_.max_depth);
+      return preview;
   }
   preview.possible = true;
+  preview.affecting = std::move(walk.chain);
   // The candidates the affected scan would examine: later live records
   // marked in the reverse-destroy table. Regional pruning cannot be
   // anticipated exactly (the region exists only after the inverse actions
@@ -206,182 +216,84 @@ UndoEngine::UndoPreview UndoEngine::Preview(OrderStamp stamp) {
   return preview;
 }
 
-UndoEngine::UndoPlan UndoEngine::PlanUndo(
-    const std::vector<OrderStamp>& stamps) {
-  UndoPlan plan;
-  std::vector<TransformRecord*> targets;
-  std::unordered_set<OrderStamp> requested;
-  for (const OrderStamp stamp : stamps) {
-    TransformRecord* rec = history_.FindByStamp(stamp);
-    if (rec == nullptr) {
-      plan.blocked_reason =
-          "unknown transformation stamp t" + std::to_string(stamp);
-      return plan;
-    }
-    if (rec->is_edit) {
-      plan.blocked_reason = "edits are not undoable (t" +
-                            std::to_string(stamp) + ")";
-      return plan;
-    }
-    if (rec->undone || !requested.insert(stamp).second) continue;
-    targets.push_back(rec);
-  }
-  std::sort(targets.begin(), targets.end(),
-            [](const TransformRecord* a, const TransformRecord* b) {
-              return a->stamp > b->stamp;
-            });
-  std::unordered_set<OrderStamp> planned;
-  for (TransformRecord* target : targets) {
-    if (planned.count(target->stamp) != 0) continue;
-    // Preview-style chain walk: blockers invert before their blockee.
-    std::vector<OrderStamp> chain;
-    TransformRecord* cur = target;
-    bool resolved = false;
-    for (int guard = 0; guard < options_.max_depth; ++guard) {
-      const Transformation& t = GetTransformation(cur->kind);
-      const Reversibility rev =
-          t.CheckReversibility(analyses_, journal_, *cur);
-      if (rev.ok) {
-        resolved = true;
-        break;
-      }
-      if (rev.affecting == kNoStamp) {
-        plan.blocked_reason = "t" + std::to_string(cur->stamp) +
-                              " blocked: " + rev.condition;
-        return plan;
-      }
-      TransformRecord* next = history_.FindByStamp(rev.affecting);
-      if (next == nullptr || next->is_edit) {
-        plan.blocked_reason = "t" + std::to_string(cur->stamp) +
-                              " blocked by user edit t" +
-                              std::to_string(rev.affecting);
-        return plan;
-      }
-      chain.push_back(next->stamp);
-      cur = next;
-    }
-    if (!resolved) {
-      NoteDepthExhausted();
-      plan.blocked_reason =
-          "affecting chain did not terminate within max_depth (" +
-          std::to_string(options_.max_depth) + ")";
-      return plan;
-    }
-    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-      if (planned.insert(*it).second) plan.targets.push_back(*it);
-    }
-    if (planned.insert(target->stamp).second) {
-      plan.targets.push_back(target->stamp);
-    }
-  }
-  return plan;
-}
-
 UndoStats UndoEngine::UndoSet(const std::vector<OrderStamp>& stamps,
                               std::vector<OrderStamp>* undone) {
-  UndoStats stats;
-  const std::uint64_t rebuilds_before = analyses_.rebuild_count();
-  const std::uint64_t crossings_before = FaultInjector::Instance().crossings();
-
-  std::vector<TransformRecord*> targets;
-  std::unordered_set<OrderStamp> requested;
-  for (const OrderStamp stamp : stamps) {
-    TransformRecord* rec = history_.FindByStamp(stamp);
-    if (rec == nullptr) {
-      throw ProgramError("UndoSet: unknown transformation stamp t" +
-                         std::to_string(stamp));
+  return Measured(analyses_, [&](UndoStats& stats) {
+    std::vector<TransformRecord*> targets;
+    std::unordered_set<OrderStamp> requested;
+    for (const OrderStamp stamp : stamps) {
+      TransformRecord* rec = history_.FindByStamp(stamp);
+      if (rec == nullptr) {
+        throw ProgramError("UndoSet: unknown transformation stamp t" +
+                           std::to_string(stamp));
+      }
+      if (rec->is_edit) {
+        throw ProgramError("user edits cannot be undone by the "
+                           "transformation undo machinery");
+      }
+      if (!requested.insert(stamp).second) continue;
+      targets.push_back(rec);
     }
-    if (rec->is_edit) {
-      throw ProgramError("user edits cannot be undone by the transformation "
-                         "undo machinery");
-    }
-    if (!requested.insert(stamp).second) continue;
-    targets.push_back(rec);
-  }
-  std::unordered_set<OrderStamp> undone_before;
-  if (undone != nullptr) {
-    for (const TransformRecord& rec : history_.records()) {
-      if (rec.undone) undone_before.insert(rec.stamp);
-    }
-  }
-
-  // Wave 1 — inversion: latest-first, so a target's affecting chain meets
-  // as few still-live later records as possible. Inverse actions run back
-  // to back; no affected-scan (hence no analysis re-derivation) happens
-  // until the whole set is inverted.
-  std::sort(targets.begin(), targets.end(),
-            [](const TransformRecord* a, const TransformRecord* b) {
-              return a->stamp > b->stamp;
-            });
-  std::vector<PlannedInversion> plan;
-  plan.reserve(targets.size());
-  for (TransformRecord* rec : targets) {
-    // Already undone before the call, or inverted as an earlier target's
-    // affecting blocker: nothing left to plan for it.
-    if (rec->undone) continue;
-    ResolveAndInvert(*rec, stats, 0, plan);
-  }
-
-  // Wave 2 — adjudication: regions and the Figure-4 scans, one record at
-  // a time in inversion order. The first analysis query re-derives once
-  // for the whole wave-1 mutation burst; later records re-derive only
-  // when a cascade in between actually mutated the program again.
-  // Same LIFO fast path as UndoRec, but the proof must cover the *whole*
-  // plan: probing per record would accept a mixed plan (oldest target
-  // inverted, a live interloper in between, newest target probing clean)
-  // whose wave-1 burst did not restore a previously-extant state. Probing
-  // from the oldest planned record decides suffix purity for everyone.
-  const TransformRecord* oldest_planned = nullptr;
-  for (const PlannedInversion& inversion : plan) {
-    if (oldest_planned == nullptr ||
-        inversion.rec->stamp < oldest_planned->stamp) {
-      oldest_planned = inversion.rec;
-    }
-  }
-  const bool suffix_revert =
-      oldest_planned != nullptr && ProvablyNoLiveLaterThan(*oldest_planned);
-
-  for (const PlannedInversion& inversion : plan) {
-    PIVOT_FAULT_POINT("undo.region.pre");
-    if (suffix_revert) {
-      Trace(MakeEvent(UndoTraceEvent::Kind::kDone, *inversion.rec, 0));
-      continue;
-    }
-    const AffectedRegion region =
-        options_.regional
-            ? AffectedRegion::FromInvertedActions(analyses_, journal_,
-                                                  inversion.inverted)
-            : AffectedRegion::WholeProgram();
-    {
-      UndoTraceEvent event =
-          MakeEvent(UndoTraceEvent::Kind::kRegion, *inversion.rec, 0);
-      event.count = region.whole_program()
-                        ? -1
-                        : static_cast<long>(region.StmtCount());
-      Trace(std::move(event));
-    }
-    ScanAffected(*inversion.rec, region, stats, 0);
-    ScanRestored(*inversion.rec, inversion.inverted, stats, 0);
-    Trace(MakeEvent(UndoTraceEvent::Kind::kDone, *inversion.rec, 0));
-  }
-
-  if (undone != nullptr) {
-    for (const TransformRecord& rec : history_.records()) {
-      if (rec.undone && !rec.is_edit &&
-          undone_before.count(rec.stamp) == 0) {
-        undone->push_back(rec.stamp);
+    std::unordered_set<OrderStamp> undone_before;
+    if (undone != nullptr) {
+      for (const TransformRecord& rec : history_.records()) {
+        if (rec.undone) undone_before.insert(rec.stamp);
       }
     }
-  }
-  stats.analysis_rebuilds = analyses_.rebuild_count() - rebuilds_before;
-  stats.fault_crossings =
-      FaultInjector::Instance().crossings() - crossings_before;
-  return stats;
+
+    // Wave 1 — inversion: latest-first, so a target's affecting chain
+    // meets as few still-live later records as possible. Inverse actions
+    // run back to back; no affected-scan (hence no analysis re-derivation)
+    // happens until the whole set is inverted.
+    std::sort(targets.begin(), targets.end(),
+              [](const TransformRecord* a, const TransformRecord* b) {
+                return a->stamp > b->stamp;
+              });
+    std::vector<PlannedInversion> plan;
+    plan.reserve(targets.size());
+    for (TransformRecord* rec : targets) {
+      // Already undone before the call, or inverted as an earlier target's
+      // affecting blocker: nothing left to plan for it.
+      if (rec->undone) continue;
+      UndoOne(*rec, stats, 0, &plan);
+    }
+
+    // Wave 2 — adjudication, one record at a time in inversion order. The
+    // first analysis query re-derives once for the whole wave-1 mutation
+    // burst; later records re-derive only when a cascade in between
+    // actually mutated the program again. Same LIFO fast path as UndoOne,
+    // but the proof must cover the *whole* plan: probing per record would
+    // accept a mixed plan (oldest target inverted, a live interloper in
+    // between, newest target probing clean) whose wave-1 burst did not
+    // restore a previously-extant state. Probing from the oldest planned
+    // record decides suffix purity for everyone.
+    const TransformRecord* oldest_planned = nullptr;
+    for (const PlannedInversion& inversion : plan) {
+      if (oldest_planned == nullptr ||
+          inversion.rec->stamp < oldest_planned->stamp) {
+        oldest_planned = inversion.rec;
+      }
+    }
+    const bool suffix_revert =
+        oldest_planned != nullptr && ProvablyNoLiveLaterThan(*oldest_planned);
+    for (const PlannedInversion& inversion : plan) {
+      Adjudicate(*inversion.rec, inversion.inverted, stats, 0,
+                 suffix_revert);
+    }
+
+    if (undone != nullptr) {
+      for (const TransformRecord& rec : history_.records()) {
+        if (rec.undone && !rec.is_edit &&
+            undone_before.count(rec.stamp) == 0) {
+          undone->push_back(rec.stamp);
+        }
+      }
+    }
+  });
 }
 
-void UndoEngine::ResolveAndInvert(TransformRecord& rec, UndoStats& stats,
-                                  int depth,
-                                  std::vector<PlannedInversion>& plan) {
+void UndoEngine::UndoOne(TransformRecord& rec, UndoStats& stats, int depth,
+                         std::vector<PlannedInversion>* deferred) {
   if (depth >= options_.max_depth) {
     NoteDepthExhausted();
     throw ProgramError("undo recursion exceeded max_depth (" +
@@ -391,8 +303,9 @@ void UndoEngine::ResolveAndInvert(TransformRecord& rec, UndoStats& stats,
   const Transformation& transformation = GetTransformation(rec.kind);
   Trace(MakeEvent(UndoTraceEvent::Kind::kBegin, rec, depth));
 
-  // Figure-4 lines 4-11, with the blocker's own affected-scan deferred to
-  // wave 2 (it joins the plan like any other inversion).
+  // Lines 4-11: undo affecting transformations until the post-pattern of
+  // t_i validates. In a batch, a blocker's own adjudication is deferred
+  // with the rest of the plan.
   //
   // LIFO fast path, front half (§10): a reversibility blocker is always a
   // *later live* action, so when nothing live is later than `rec` the
@@ -407,23 +320,20 @@ void UndoEngine::ResolveAndInvert(TransformRecord& rec, UndoStats& stats,
       Trace(MakeEvent(UndoTraceEvent::Kind::kPostPatternOk, rec, depth));
       break;
     }
-    if (rev.affecting != kNoStamp) {
-      UndoTraceEvent event =
-          MakeEvent(UndoTraceEvent::Kind::kPostPatternBlocked, rec, depth);
-      event.other = rev.affecting;
-      if (const TransformRecord* blocker =
-              history_.FindByStamp(rev.affecting)) {
-        event.other_kind = blocker->kind;
-      }
-      event.detail = rev.condition;
-      Trace(std::move(event));
-    }
     if (rev.affecting == kNoStamp) {
       throw ProgramError(
           "cannot undo t" + std::to_string(rec.stamp) + " (" +
           std::string(TransformKindName(rec.kind)) + "): " + rev.condition);
     }
     TransformRecord* affecting = history_.FindByStamp(rev.affecting);
+    {
+      UndoTraceEvent event =
+          MakeEvent(UndoTraceEvent::Kind::kPostPatternBlocked, rec, depth);
+      event.other = rev.affecting;
+      if (affecting != nullptr) event.other_kind = affecting->kind;
+      event.detail = rev.condition;
+      Trace(std::move(event));
+    }
     PIVOT_CHECK_MSG(affecting != nullptr, "affecting stamp not in history");
     if (affecting->is_edit) {
       throw ProgramError("cannot undo t" + std::to_string(rec.stamp) +
@@ -434,9 +344,10 @@ void UndoEngine::ResolveAndInvert(TransformRecord& rec, UndoStats& stats,
     PIVOT_CHECK_MSG(!affecting->undone,
                     "post-pattern blocked by an already-undone transform");
     PIVOT_FAULT_POINT("undo.affecting.recurse");
-    ResolveAndInvert(*affecting, stats, depth + 1, plan);
+    UndoOne(*affecting, stats, depth + 1, deferred);
   }
 
+  // Line 12: perform the inverse actions (reverse application order).
   std::vector<ActionId> inverted = InvertActions(rec, stats);
   rec.undone = true;
   ++stats.transforms_undone;
@@ -446,115 +357,46 @@ void UndoEngine::ResolveAndInvert(TransformRecord& rec, UndoStats& stats,
     event.count = static_cast<long>(inverted.size());
     Trace(std::move(event));
   }
-  plan.push_back(PlannedInversion{&rec, std::move(inverted)});
-}
-
-void UndoEngine::UndoRec(TransformRecord& rec, UndoStats& stats, int depth) {
-  if (depth >= options_.max_depth) {
-    NoteDepthExhausted();
-    throw ProgramError("undo recursion exceeded max_depth (" +
-                       std::to_string(options_.max_depth) + ")");
-  }
-  if (rec.undone) return;
-  const Transformation& transformation = GetTransformation(rec.kind);
-  Trace(MakeEvent(UndoTraceEvent::Kind::kBegin, rec, depth));
-
-  // Lines 4-11: undo affecting transformations until the post-pattern of
-  // t_i validates.
-  //
-  // LIFO fast path, front half (§10): a reversibility blocker is always a
-  // *later live* action, so when nothing live is later than `rec` the
-  // blocker loop is vacuous. Journal::Invert still re-checks CanInvert for
-  // every action it inverts, so the proof is enforced below, not assumed.
-  while (!ProvablyNoLiveLaterThan(rec)) {
-    ++stats.reversibility_checks;
-    const Reversibility rev =
-        transformation.CheckReversibility(analyses_, journal_, rec);
-    if (rev.ok) {
-      Trace(MakeEvent(UndoTraceEvent::Kind::kPostPatternOk, rec, depth));
-      break;
-    }
-    if (rev.affecting != kNoStamp) {
-      UndoTraceEvent event =
-          MakeEvent(UndoTraceEvent::Kind::kPostPatternBlocked, rec, depth);
-      event.other = rev.affecting;
-      if (const TransformRecord* blocker =
-              history_.FindByStamp(rev.affecting)) {
-        event.other_kind = blocker->kind;
-      }
-      event.detail = rev.condition;
-      Trace(std::move(event));
-    }
-    if (rev.affecting == kNoStamp) {
-      throw ProgramError(
-          "cannot undo t" + std::to_string(rec.stamp) + " (" +
-          std::string(TransformKindName(rec.kind)) + "): " + rev.condition);
-    }
-    TransformRecord* affecting = history_.FindByStamp(rev.affecting);
-    PIVOT_CHECK_MSG(affecting != nullptr, "affecting stamp not in history");
-    if (affecting->is_edit) {
-      throw ProgramError("cannot undo t" + std::to_string(rec.stamp) +
-                         ": blocked by user edit t" +
-                         std::to_string(rev.affecting) + " (" +
-                         rev.condition + ")");
-    }
-    PIVOT_CHECK_MSG(!affecting->undone,
-                    "post-pattern blocked by an already-undone transform");
-    PIVOT_FAULT_POINT("undo.affecting.recurse");
-    UndoRec(*affecting, stats, depth + 1);
-  }
-
-  // Line 12: perform the inverse actions (reverse application order).
-  const std::vector<ActionId> inverted = InvertActions(rec, stats);
-  rec.undone = true;
-  ++stats.transforms_undone;
-  {
-    UndoTraceEvent event =
-        MakeEvent(UndoTraceEvent::Kind::kInverseActions, rec, depth);
-    event.count = static_cast<long>(inverted.size());
-    Trace(std::move(event));
-  }
-
-  // Line 13: dependence and data-flow update — analyses are re-derived
-  // lazily from the bumped program epoch.
-
-  // LIFO fast path (optimized planner only): when nothing live is later
-  // than `rec`, this undo is classical reverse-order rollback — the
-  // trivial case the paper's independent-order machinery generalizes.
-  // Inverting the actions restores a previously-extant program state
-  // byte-for-byte, so there is nothing to adjudicate: the affected set is
-  // vacuously empty, and every earlier record anchored in a restored site
-  // carries exactly the safety status it already had in that state.
-  // Skipping the scans also skips the region derivation and the safety
-  // checks' analysis windows — which is what keeps a search-style
-  // reject O(inverse actions) instead of O(live history).
-  PIVOT_FAULT_POINT("undo.region.pre");
-  if (ProvablyNoLiveLaterThan(rec)) {
-    Trace(MakeEvent(UndoTraceEvent::Kind::kDone, rec, depth));
+  if (deferred != nullptr) {
+    deferred->push_back(PlannedInversion{&rec, std::move(inverted)});
     return;
   }
+  // Line 13: dependence and data-flow update — analyses are re-derived
+  // lazily from the bumped program epoch.
+  Adjudicate(rec, inverted, stats, depth, ProvablyNoLiveLaterThan(rec));
+}
 
-  // Line 15: determine the affected region.
-  const AffectedRegion region =
-      options_.regional
-          ? AffectedRegion::FromInvertedActions(analyses_, journal_,
-                                                inverted)
-          : AffectedRegion::WholeProgram();
-  {
-    UndoTraceEvent event =
-        MakeEvent(UndoTraceEvent::Kind::kRegion, rec, depth);
+void UndoEngine::Adjudicate(TransformRecord& rec,
+                            const std::vector<ActionId>& inverted,
+                            UndoStats& stats, int depth, bool suffix_revert) {
+  // LIFO fast path (optimized planner only): when nothing live is later
+  // than the inverted records, the undo is classical reverse-order
+  // rollback — the trivial case the paper's independent-order machinery
+  // generalizes. Inverting the actions restores a previously-extant
+  // program state byte-for-byte, so there is nothing to adjudicate: the
+  // affected set is vacuously empty, and every earlier record anchored in
+  // a restored site carries exactly the safety status it already had in
+  // that state. Skipping the scans also skips the region derivation and
+  // the safety checks' analysis windows — which is what keeps a
+  // search-style reject O(inverse actions) instead of O(live history).
+  PIVOT_FAULT_POINT("undo.region.pre");
+  if (!suffix_revert) {
+    // Line 15: determine the affected region.
+    const AffectedRegion region =
+        options_.regional ? AffectedRegion::FromInvertedActions(
+                                analyses_, journal_, inverted)
+                          : AffectedRegion::WholeProgram();
+    UndoTraceEvent event = MakeEvent(UndoTraceEvent::Kind::kRegion, rec, depth);
     event.count = region.whole_program()
                       ? -1
                       : static_cast<long>(region.StmtCount());
     Trace(std::move(event));
+    // Lines 16-29: detect and undo affected transformations.
+    ScanAffected(rec, region, stats, depth);
+    // Beyond Figure 4: transformations performed *before* this one whose
+    // sites were just restored must be re-validated too (see ScanRestored).
+    ScanRestored(rec, inverted, stats, depth);
   }
-
-  // Lines 16-29: detect and undo affected transformations.
-  ScanAffected(rec, region, stats, depth);
-
-  // Beyond Figure 4: transformations performed *before* this one whose
-  // sites were just restored must be re-validated too (see ScanRestored).
-  ScanRestored(rec, inverted, stats, depth);
   Trace(MakeEvent(UndoTraceEvent::Kind::kDone, rec, depth));
 }
 
@@ -591,137 +433,72 @@ bool UndoEngine::ProvablyNoLiveLaterThan(const TransformRecord& undone) const {
   return true;
 }
 
+void UndoEngine::TraceCandidate(UndoTraceEvent::Kind kind,
+                                const TransformRecord& undone,
+                                const TransformRecord& candidate, int depth) {
+  if (trace_ == nullptr) return;
+  UndoTraceEvent event = MakeEvent(kind, undone, depth);
+  event.other = candidate.stamp;
+  event.other_kind = candidate.kind;
+  trace_->Add(std::move(event));
+}
+
 void UndoEngine::ScanAffected(TransformRecord& undone,
                               const AffectedRegion& region, UndoStats& stats,
                               int depth) {
-  // The index prunes candidate *enumeration*; a whole-program region
-  // matches everything, and an attached trace expects the linear event
-  // sequence (one event per later live record).
-  if (index_ != nullptr && trace_ == nullptr && !region.whole_program()) {
-    ScanAffectedIndexed(undone, region, stats, depth);
-  } else {
-    ScanAffectedLinear(undone, region, stats, depth);
-  }
-}
-
-void UndoEngine::ScanAffectedLinear(TransformRecord& undone,
-                                    const AffectedRegion& region,
-                                    UndoStats& stats, int depth) {
-  // Snapshot the live later transformations first: recursive undos mutate
-  // the history flags but not the deque order.
-  std::vector<TransformRecord*> later;
-  later.reserve(history_.records().size());
-  for (TransformRecord& rec : history_.records()) {
-    if (rec.undone || rec.is_edit) continue;
-    if (rec.stamp > undone.stamp) later.push_back(&rec);  // line 18: k > i
-  }
-
-  for (TransformRecord* candidate : later) {
-    if (candidate->undone) continue;  // removed by a deeper recursion
-    ++stats.candidates_total;
-    UndoTraceEvent event =
-        MakeEvent(UndoTraceEvent::Kind::kCandidateSafe, undone, depth);
-    event.other = candidate->stamp;
-    event.other_kind = candidate->kind;
-    // The space coordinate: only transformations in the affected region.
-    if (!region.ContainsRecord(analyses_.program(), journal_, *candidate)) {
-      event.kind = UndoTraceEvent::Kind::kCandidateOutsideRegion;
-      Trace(std::move(event));
-      continue;
-    }
-    ++stats.candidates_in_region;
-    // Line 20: the reverse-destroy heuristic.
-    if (!table_.Enables(undone.kind, candidate->kind)) {
-      event.kind = UndoTraceEvent::Kind::kCandidateUnmarked;
-      Trace(std::move(event));
-      continue;
-    }
-    ++stats.candidates_marked;
-    // Lines 22-25: full safety re-evaluation; ripple when violated.
-    ++stats.safety_checks;
-    const Transformation& t = GetTransformation(candidate->kind);
-    if (!t.CheckSafety(analyses_, journal_, *candidate)) {
-      event.kind = UndoTraceEvent::Kind::kCandidateUnsafe;
-      Trace(std::move(event));
-      PIVOT_FAULT_POINT("undo.cascade.recurse");
-      UndoRec(*candidate, stats, depth + 1);
-    } else {
-      Trace(std::move(event));
-    }
-  }
-}
-
-void UndoEngine::ScanAffectedIndexed(TransformRecord& undone,
-                                     const AffectedRegion& region,
-                                     UndoStats& stats, int depth) {
+  using Kind = UndoTraceEvent::Kind;
+  // The index prunes candidate *enumeration* to a footprint superset; the
+  // exact containment predicate below keeps the adjudicated set identical
+  // to the history's. A whole-program region matches everything, and an
+  // attached trace expects one event per later live record.
+  const bool indexed =
+      index_ != nullptr && trace_ == nullptr && !region.whole_program();
   Program& program = analyses_.program();
-  // A cascade mutates the program, which can pull records into the region
-  // that were outside it before — exactly as the linear scan's lazy
-  // re-evaluation would observe. Re-query after each cascade, resuming
-  // past the last candidate already adjudicated (the linear scan never
-  // revisits either).
+  // Line 18 (k > i). A cascade mutates the program, which can pull
+  // records into the region that were outside it before: the history
+  // source sees that lazily, the index is re-queried past the last
+  // candidate already adjudicated (neither ever revisits one).
   OrderStamp resume = undone.stamp;
-  for (;;) {
-    std::vector<TransformRecord*> indexed = index_->Candidates(region);
-    std::vector<TransformRecord*> candidates;
-    candidates.reserve(indexed.size());
-    for (TransformRecord* candidate : indexed) {
+  for (bool requery = true; requery;) {
+    requery = false;
+    const std::vector<TransformRecord*> candidates =
+        indexed ? index_->Candidates(region) : history_.Live();
+    for (TransformRecord* candidate : candidates) {
+      // Undone: removed by a deeper recursion.
       if (candidate->stamp <= resume || candidate->undone ||
           candidate->is_edit) {
         continue;
       }
-      candidates.push_back(candidate);
-    }
-    bool cascaded = false;
-    for (TransformRecord* candidate : candidates) {
       resume = candidate->stamp;
       ++stats.candidates_total;
-      // The index pre-selects by footprint; the exact containment
-      // predicate keeps the adjudicated set identical to the full scan.
-      if (!region.ContainsRecord(program, journal_, *candidate)) continue;
+      // The space coordinate: only transformations in the affected region.
+      if (!region.ContainsRecord(program, journal_, *candidate)) {
+        TraceCandidate(Kind::kCandidateOutsideRegion, undone, *candidate,
+                       depth);
+        continue;
+      }
       ++stats.candidates_in_region;
-      if (!table_.Enables(undone.kind, candidate->kind)) continue;
+      // Line 20: the reverse-destroy heuristic.
+      if (!table_.Enables(undone.kind, candidate->kind)) {
+        TraceCandidate(Kind::kCandidateUnmarked, undone, *candidate, depth);
+        continue;
+      }
       ++stats.candidates_marked;
+      // Lines 22-25: full safety re-evaluation; ripple when violated.
       ++stats.safety_checks;
       const Transformation& t = GetTransformation(candidate->kind);
-      if (!t.CheckSafety(analyses_, journal_, *candidate)) {
-        PIVOT_FAULT_POINT("undo.cascade.recurse");
-        UndoRec(*candidate, stats, depth + 1);
-        cascaded = true;
+      if (t.CheckSafety(analyses_, journal_, *candidate)) {
+        TraceCandidate(Kind::kCandidateSafe, undone, *candidate, depth);
+        continue;
+      }
+      TraceCandidate(Kind::kCandidateUnsafe, undone, *candidate, depth);
+      PIVOT_FAULT_POINT("undo.cascade.recurse");
+      UndoOne(*candidate, stats, depth + 1, nullptr);
+      if (indexed) {
+        requery = true;
         break;
       }
     }
-    if (!cascaded) break;
-  }
-}
-
-void UndoEngine::ScanRestored(TransformRecord& undone,
-                              const std::vector<ActionId>& inverted,
-                              UndoStats& stats, int depth) {
-  // The Figure-4 scan only examines *later* transformations (line 18:
-  // k > i), on the premise that performing a transformation never destroys
-  // an earlier one's safety. Undo breaks that premise in one spot: while a
-  // statement is deleted by a live transformation, earlier transformations
-  // anchored in it defer their safety question to the deletion (the
-  // consumed-by-live-transformation case of CheckSafety). Inverting the
-  // Delete re-attaches the statement and revives those deferred
-  // obligations — against a program that intermediate undos may have
-  // changed since they last held. So: re-validate every earlier live
-  // transformation whose site lies inside a subtree this undo restored.
-  Program& program = analyses_.program();
-  std::vector<StmtId> restored;
-  restored.reserve(inverted.size());
-  for (ActionId id : inverted) {
-    const ActionRecord& action = journal_.record(id);
-    if (action.kind != ActionKind::kDelete) continue;
-    const Stmt* root = program.FindStmt(action.stmt);
-    if (root != nullptr && root->attached) restored.push_back(action.stmt);
-  }
-  if (restored.empty()) return;
-  if (index_ != nullptr && trace_ == nullptr) {
-    ScanRestoredIndexed(undone, restored, stats, depth);
-  } else {
-    ScanRestoredLinear(undone, restored, stats, depth);
   }
 }
 
@@ -762,76 +539,57 @@ bool AnchoredInRestored(Program& program, const Journal& journal,
 
 }  // namespace
 
-void UndoEngine::ScanRestoredLinear(TransformRecord& undone,
-                                    const std::vector<StmtId>& restored,
-                                    UndoStats& stats, int depth) {
+void UndoEngine::ScanRestored(TransformRecord& undone,
+                              const std::vector<ActionId>& inverted,
+                              UndoStats& stats, int depth) {
+  // The Figure-4 scan only examines *later* transformations (line 18:
+  // k > i), on the premise that performing a transformation never destroys
+  // an earlier one's safety. Undo breaks that premise in one spot: while a
+  // statement is deleted by a live transformation, earlier transformations
+  // anchored in it defer their safety question to the deletion (the
+  // consumed-by-live-transformation case of CheckSafety). Inverting the
+  // Delete re-attaches the statement and revives those deferred
+  // obligations — against a program that intermediate undos may have
+  // changed since they last held. So: re-validate every earlier live
+  // transformation whose site lies inside a subtree this undo restored.
   Program& program = analyses_.program();
-  // Snapshot first: recursive undos flip history flags under us.
-  std::vector<TransformRecord*> earlier;
-  earlier.reserve(history_.records().size());
-  for (TransformRecord& rec : history_.records()) {
-    if (rec.undone || rec.is_edit) continue;
-    if (rec.stamp < undone.stamp) earlier.push_back(&rec);
+  std::vector<StmtId> restored;
+  restored.reserve(inverted.size());
+  for (ActionId id : inverted) {
+    const ActionRecord& action = journal_.record(id);
+    if (action.kind != ActionKind::kDelete) continue;
+    const Stmt* root = program.FindStmt(action.stmt);
+    if (root != nullptr && root->attached) restored.push_back(action.stmt);
   }
-  for (TransformRecord* candidate : earlier) {
-    if (candidate->undone) continue;  // removed by a deeper recursion
-    if (!AnchoredInRestored(program, journal_, restored, *candidate)) {
-      continue;
-    }
-    ++stats.safety_checks;
-    const Transformation& t = GetTransformation(candidate->kind);
-    if (!t.CheckSafety(analyses_, journal_, *candidate)) {
-      UndoTraceEvent event =
-          MakeEvent(UndoTraceEvent::Kind::kCandidateUnsafe, undone, depth);
-      event.other = candidate->stamp;
-      event.other_kind = candidate->kind;
-      Trace(std::move(event));
-      PIVOT_FAULT_POINT("undo.cascade.recurse");
-      UndoRec(*candidate, stats, depth + 1);
-    }
-  }
-}
-
-void UndoEngine::ScanRestoredIndexed(TransformRecord& undone,
-                                     const std::vector<StmtId>& restored,
-                                     UndoStats& stats, int depth) {
-  Program& program = analyses_.program();
+  if (restored.empty()) return;
+  // Candidate sources as in ScanAffected: the index pre-selects by
+  // referenced-id membership, and the exact anchored predicate keeps the
+  // checked set identical to the history's.
+  const bool indexed = index_ != nullptr && trace_ == nullptr;
   OrderStamp resume = kNoStamp;
-  for (;;) {
-    std::vector<TransformRecord*> indexed = index_->AnchoredIn(restored);
-    std::vector<TransformRecord*> candidates;
-    candidates.reserve(indexed.size());
-    for (TransformRecord* candidate : indexed) {
-      if (candidate->stamp >= undone.stamp || candidate->undone ||
-          candidate->is_edit) {
-        continue;
-      }
-      if (resume != kNoStamp && candidate->stamp <= resume) continue;
-      // The index pre-selects by referenced-id membership; the exact
-      // anchored predicate keeps the checked set identical to the scan.
-      if (!AnchoredInRestored(program, journal_, restored, *candidate)) {
-        continue;
-      }
-      candidates.push_back(candidate);
-    }
-    bool cascaded = false;
+  for (bool requery = true; requery;) {
+    requery = false;
+    const std::vector<TransformRecord*> candidates =
+        indexed ? index_->AnchoredIn(restored) : history_.Live();
     for (TransformRecord* candidate : candidates) {
+      if (candidate->stamp <= resume || candidate->stamp >= undone.stamp ||
+          candidate->undone || candidate->is_edit ||
+          !AnchoredInRestored(program, journal_, restored, *candidate)) {
+        continue;
+      }
       resume = candidate->stamp;
       ++stats.safety_checks;
       const Transformation& t = GetTransformation(candidate->kind);
-      if (!t.CheckSafety(analyses_, journal_, *candidate)) {
-        UndoTraceEvent event =
-            MakeEvent(UndoTraceEvent::Kind::kCandidateUnsafe, undone, depth);
-        event.other = candidate->stamp;
-        event.other_kind = candidate->kind;
-        Trace(std::move(event));
-        PIVOT_FAULT_POINT("undo.cascade.recurse");
-        UndoRec(*candidate, stats, depth + 1);
-        cascaded = true;
+      if (t.CheckSafety(analyses_, journal_, *candidate)) continue;
+      TraceCandidate(UndoTraceEvent::Kind::kCandidateUnsafe, undone,
+                     *candidate, depth);
+      PIVOT_FAULT_POINT("undo.cascade.recurse");
+      UndoOne(*candidate, stats, depth + 1, nullptr);
+      if (indexed) {
+        requery = true;
         break;
       }
     }
-    if (!cascaded) break;
   }
 }
 

@@ -99,14 +99,13 @@ class UndoEngine {
   // edits throw ProgramError (nothing partial is left behind when the
   // caller wraps the batch in a transaction, as Session::UndoSet does).
   // Returns the aggregated stats; `undone` (optional) receives the stamp
-  // of every record the plan removed, cascades included, in the order
-  // they were undone.
+  // of every record the plan removed, cascades included, in stamp order.
   UndoStats UndoSet(const std::vector<OrderStamp>& stamps,
                     std::vector<OrderStamp>* undone = nullptr);
 
   // The reverse-application-order baseline of [5]: undo the most recently
   // applied live transformation. Returns its stamp (kNoStamp if none).
-  OrderStamp UndoLast(UndoStats* stats = nullptr);
+  OrderStamp UndoLast();
 
   // Would Undo(stamp) succeed without being blocked by an edit?
   bool CanUndo(OrderStamp stamp, std::string* reason = nullptr);
@@ -124,19 +123,6 @@ class UndoEngine {
     std::vector<OrderStamp> may_ripple;   // candidates the scan will check
   };
   UndoPreview Preview(OrderStamp stamp);
-
-  // What UndoSet(stamps) would invert in wave 1, without performing it:
-  // the requested records plus their affecting closures, deduplicated, in
-  // inversion order. Chain walks are read-only Preview-style
-  // approximations (an earlier inversion can unblock a later chain, which
-  // the real batch resolves exactly). ok() is false when some target is
-  // blocked by an edit / unknown stamp / unterminated chain.
-  struct UndoPlan {
-    std::vector<OrderStamp> targets;  // wave-1 inversion order
-    std::string blocked_reason;       // set when !ok()
-    bool ok() const { return blocked_reason.empty(); }
-  };
-  UndoPlan PlanUndo(const std::vector<OrderStamp>& stamps);
 
   const UndoOptions& options() const { return options_; }
   const InteractionTable& table() const { return table_; }
@@ -160,19 +146,44 @@ class UndoEngine {
     if (trace_ != nullptr) trace_->Add(std::move(event));
   }
   void NoteDepthExhausted();
-  void UndoRec(TransformRecord& rec, UndoStats& stats, int depth);
-  std::vector<ActionId> InvertActions(TransformRecord& rec,
-                                      UndoStats& stats);
-  // Wave 1 of the batch planner: resolve the affecting chain of `rec`
-  // (recursively inverting blockers) and invert its actions, deferring
-  // the affected/restored scans. Inverted records are appended to `plan`
-  // in inversion order.
+
+  // The read-only affecting-chain walk behind CanUndo and Preview: follow
+  // each blocked post-pattern to the transformation that must be undone
+  // first, without undoing anything. In the real undo each step unblocks
+  // the next check, which the walk approximates by following the chain
+  // head.
+  struct ChainWalk {
+    enum class End {
+      kResolved,      // the last record's post-pattern validates
+      kUnidentified,  // blocked, no affecting transformation identified
+      kEdit,          // blocked by a user edit (or an unknown stamp)
+      kExhausted,     // no end within options().max_depth steps
+    };
+    End end = End::kResolved;
+    std::vector<OrderStamp> chain;  // the affecting records, walk order
+    OrderStamp blocker = kNoStamp;  // the edit, when end == kEdit
+    std::string condition;          // the failing post-pattern condition
+  };
+  ChainWalk WalkChain(const TransformRecord& rec);
+
+  // Figure 4, once: the blocker loop (lines 4-11, recursing into itself),
+  // then the inverse actions (line 12). With `deferred` null the record
+  // is adjudicated at once; otherwise it is appended to `deferred` for
+  // UndoSet's wave 2.
   struct PlannedInversion {
     TransformRecord* rec;
     std::vector<ActionId> inverted;
   };
-  void ResolveAndInvert(TransformRecord& rec, UndoStats& stats, int depth,
-                        std::vector<PlannedInversion>& plan);
+  void UndoOne(TransformRecord& rec, UndoStats& stats, int depth,
+               std::vector<PlannedInversion>* deferred);
+  std::vector<ActionId> InvertActions(TransformRecord& rec,
+                                      UndoStats& stats);
+  // Lines 15-29 for one inverted record: the affected region, the
+  // affected and restored scans, and the closing trace event. When
+  // `suffix_revert` holds the inversion restored a previously-extant
+  // state, and only the closing event remains (see ProvablyNoLiveLaterThan).
+  void Adjudicate(TransformRecord& rec, const std::vector<ActionId>& inverted,
+                  UndoStats& stats, int depth, bool suffix_revert);
   // Optimized-planner fast path (active with the region index, without an
   // attached trace): proves "no live record has a later stamp than
   // `undone`" with a capped backwards probe of the stamp-ordered history.
@@ -182,23 +193,16 @@ class UndoEngine {
   // (newest record) resolves in O(1). Returns false when unproven,
   // including past the probe cap.
   bool ProvablyNoLiveLaterThan(const TransformRecord& undone) const;
+  // The two Figure-4 scans. Each has one adjudication loop; only the
+  // candidate source differs: the RegionIndex when present and no trace
+  // is attached, the stamp-ordered history otherwise.
   void ScanAffected(TransformRecord& undone, const AffectedRegion& region,
                     UndoStats& stats, int depth);
-  void ScanAffectedLinear(TransformRecord& undone,
-                          const AffectedRegion& region, UndoStats& stats,
-                          int depth);
-  void ScanAffectedIndexed(TransformRecord& undone,
-                           const AffectedRegion& region, UndoStats& stats,
-                           int depth);
   void ScanRestored(TransformRecord& undone,
                     const std::vector<ActionId>& inverted, UndoStats& stats,
                     int depth);
-  void ScanRestoredLinear(TransformRecord& undone,
-                          const std::vector<StmtId>& restored,
-                          UndoStats& stats, int depth);
-  void ScanRestoredIndexed(TransformRecord& undone,
-                           const std::vector<StmtId>& restored,
-                           UndoStats& stats, int depth);
+  void TraceCandidate(UndoTraceEvent::Kind kind, const TransformRecord& undone,
+                      const TransformRecord& candidate, int depth);
 
   AnalysisCache& analyses_;
   Journal& journal_;

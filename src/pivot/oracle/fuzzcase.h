@@ -101,7 +101,7 @@ struct ReplayResult {
 struct ReplayOptions {
   // Options for both lockstep sessions (engine mode, analysis policy,
   // strictness) — the handle differential campaigns use to put the
-  // indexed / parallel / batch machinery under the oracle battery.
+  // indexed / linear / batch machinery under the oracle battery.
   SessionOptions session;
   // Final convergence phase: mirror the set undone on A with a single
   // Session::UndoSet batch on B instead of per-stamp sequential undos.

@@ -722,35 +722,41 @@ void PivotServer::MaybePassivate() {
       if (!over_bytes && !over_count) return;
       victims = lru_.Victims(SessionLru::Clock::time_point::max(), 8);
     }
-    if (victims.empty()) return;
-    bool progressed = false;
-    for (const std::string& name : victims) {
-      std::shared_ptr<Hosted> hosted = FindSession(name);
-      if (hosted == nullptr) {
-        // Closed since the candidate list was taken; kClose already
-        // removed it from the LRU.
-        progressed = true;
-        continue;
-      }
-      // try_lock, never block: a busy session is by definition not a good
-      // eviction victim, and a committer parked on the group ticket holds
-      // its lock for the whole sync wait.
-      std::unique_lock<std::timed_mutex> lock(hosted->mu, std::try_to_lock);
-      if (!lock.owns_lock()) continue;
-      if (hosted->closed || hosted->session == nullptr) {
-        std::lock_guard<std::mutex> sessions_lock(sessions_mu_);
-        lru_.Remove(name);
-        progressed = true;
-        continue;
-      }
-      if (!PassivateLocked(hosted)) return;  // degraded; stop evicting
-      progressed = true;
-      // Re-check the budget before taking another victim: the batch was
-      // sized for the worst case, not a license to drain it past the cap.
-      break;
-    }
-    if (!progressed) return;  // every candidate busy; next request retries
+    // Re-check the budget after every passivation: the batch was sized
+    // for the worst case, not a license to drain it past the cap. Stop
+    // when degraded, or when no candidate was left or every one was busy
+    // (the next request retries).
+    if (!PassivateVictims(victims, /*stop_after_first=*/true)) return;
   }
+}
+
+bool PivotServer::PassivateVictims(const std::vector<std::string>& victims,
+                                   bool stop_after_first) {
+  bool progressed = false;
+  for (const std::string& name : victims) {
+    std::shared_ptr<Hosted> hosted = FindSession(name);
+    if (hosted == nullptr) {
+      // Closed since the candidate list was taken; kClose already
+      // removed it from the LRU.
+      progressed = true;
+      continue;
+    }
+    // try_lock, never block: a busy session is by definition not a good
+    // victim, and a committer parked on the group ticket holds its lock
+    // for the whole sync wait.
+    std::unique_lock<std::timed_mutex> lock(hosted->mu, std::try_to_lock);
+    if (!lock.owns_lock()) continue;
+    if (hosted->closed || hosted->session == nullptr) {
+      std::lock_guard<std::mutex> sessions_lock(sessions_mu_);
+      lru_.Remove(name);
+      progressed = true;
+      continue;
+    }
+    if (!PassivateLocked(hosted)) return false;  // degraded; stop
+    progressed = true;
+    if (stop_after_first) break;
+  }
+  return progressed;
 }
 
 void PivotServer::ReaperLoop() {
@@ -773,19 +779,7 @@ void PivotServer::ReaperLoop() {
           std::lock_guard<std::mutex> sessions_lock(sessions_mu_);
           victims = lru_.Victims(cutoff, 16);
         }
-        for (const std::string& name : victims) {
-          std::shared_ptr<Hosted> hosted = FindSession(name);
-          if (hosted == nullptr) continue;
-          std::unique_lock<std::timed_mutex> session_lock(hosted->mu,
-                                                          std::try_to_lock);
-          if (!session_lock.owns_lock()) continue;  // busy = not idle
-          if (hosted->closed || hosted->session == nullptr) {
-            std::lock_guard<std::mutex> sessions_lock(sessions_mu_);
-            lru_.Remove(name);
-            continue;
-          }
-          if (!PassivateLocked(hosted)) break;  // degraded; stop sweeping
-        }
+        PassivateVictims(victims, /*stop_after_first=*/false);
       }
     } catch (const FaultInjectedError&) {
       // Crash harness fired on the reaper thread: flip the server into

@@ -185,6 +185,13 @@ class PivotServer {
   // fit the lifecycle options. Called with no session lock held; at most
   // one enforcement pass runs at a time.
   void MaybePassivate();
+  // The victim loop of both passivation passes: for each name, least
+  // recently used first, passivate the session when its lock is free and
+  // drop closed or already-passivated entries from the LRU; after the
+  // first passivation when `stop_after_first` is set. Returns false when
+  // nothing changed or the server degraded.
+  bool PassivateVictims(const std::vector<std::string>& victims,
+                        bool stop_after_first);
   // Refreshes the LRU entry (and byte estimate) for a live session the
   // current request just used. Caller holds hosted->mu.
   void TouchLru(const std::string& name, Session& session);

@@ -1,8 +1,8 @@
-// The batch undo planner (UndoSet / PlanUndo), the depth-guard error
-// surface, and the parallel safety-checking mode. The planner's contract
-// is observational equivalence with sequential undo: same surviving sets,
-// same final program, every oracle invariant intact — with strictly fewer
-// analysis re-derivations.
+// The batch undo planner (UndoSet), the depth-guard error surface, and
+// the indexed/linear A/B. The planner's contract is observational
+// equivalence with sequential undo: same surviving sets, same final
+// program, every oracle invariant intact — with strictly fewer analysis
+// re-derivations.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -142,41 +142,6 @@ TEST(UndoSet, BatchSharesAnalysisRefreshes) {
   EXPECT_LT(batch_stats.analysis_rebuilds, seq_stats.analysis_rebuilds);
 }
 
-// --- PlanUndo ---
-
-TEST(PlanUndo, ListsAffectingChainInInversionOrder) {
-  Session s(Parse(kSection52));
-  ASSERT_TRUE(s.ApplyFirst(TransformKind::kCse).has_value());
-  ASSERT_TRUE(s.ApplyFirst(TransformKind::kCtp).has_value());
-  const OrderStamp inx = *s.ApplyFirst(TransformKind::kInx);
-  const OrderStamp icm = *s.ApplyFirst(TransformKind::kIcm);
-
-  const UndoEngine::UndoPlan plan = s.engine().PlanUndo({inx});
-  ASSERT_TRUE(plan.ok()) << plan.blocked_reason;
-  EXPECT_EQ(plan.targets, (std::vector<OrderStamp>{icm, inx}));
-  // Planning is read-only.
-  EXPECT_FALSE(s.history().FindByStamp(inx)->undone);
-  EXPECT_FALSE(s.history().FindByStamp(icm)->undone);
-}
-
-TEST(PlanUndo, ReportsUnknownStamp) {
-  Session s(Parse("x = 1\nx = 2\nwrite x"));
-  const UndoEngine::UndoPlan plan = s.engine().PlanUndo({42});
-  EXPECT_FALSE(plan.ok());
-  EXPECT_NE(plan.blocked_reason.find("unknown"), std::string::npos);
-}
-
-TEST(PlanUndo, DeduplicatesOverlappingChains) {
-  Session s(Parse(kSection52));
-  ASSERT_TRUE(s.ApplyFirst(TransformKind::kCse).has_value());
-  ASSERT_TRUE(s.ApplyFirst(TransformKind::kCtp).has_value());
-  const OrderStamp inx = *s.ApplyFirst(TransformKind::kInx);
-  const OrderStamp icm = *s.ApplyFirst(TransformKind::kIcm);
-  const UndoEngine::UndoPlan plan = s.engine().PlanUndo({inx, icm});
-  ASSERT_TRUE(plan.ok()) << plan.blocked_reason;
-  EXPECT_EQ(plan.targets, (std::vector<OrderStamp>{icm, inx}));
-}
-
 // --- depth-guard exhaustion is a reported error, never silent ---
 
 TEST(DepthGuard, CanUndoReportsExhaustion) {
@@ -247,28 +212,58 @@ TEST(IndexedAb, IndexedAndLinearEnginesAgreeOnFuzzSchedules) {
   FaultInjector::Instance().Reset();
 }
 
-// --- planner differential gates: batch mirror through the full oracle ---
+// --- planner differential gates: batch mirror through the full oracle,
+// on both candidate sources of the Figure-4 scans ---
 
-class PlannerFuzzCampaign : public ::testing::TestWithParam<std::uint64_t> {
+struct PlannerParams {
+  std::uint64_t seed;
+  bool indexed;
+};
+
+// How gtest (and so ctest's test list) shows a case: the indexed cases
+// keep the bare seed they were listed under before the linear axis.
+void PrintTo(const PlannerParams& params, std::ostream* os) {
+  *os << params.seed << (params.indexed ? "" : "_linear");
+}
+
+std::string PlannerParamsName(
+    const ::testing::TestParamInfo<PlannerParams>& info) {
+  return ::testing::PrintToString(info.param);
+}
+
+std::vector<PlannerParams> MakePlannerParams() {
+  std::vector<PlannerParams> params;
+  for (const bool indexed : {true, false}) {
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+      params.push_back({seed, indexed});
+    }
+  }
+  return params;
+}
+
+class PlannerFuzzCampaign : public ::testing::TestWithParam<PlannerParams> {
  protected:
   void SetUp() override { FaultInjector::Instance().Reset(); }
   void TearDown() override { FaultInjector::Instance().Reset(); }
 };
 
 TEST_P(PlannerFuzzCampaign, BatchMirrorReplaysWithZeroFindings) {
+  const PlannerParams& params = GetParam();
   FuzzGenOptions gen;
   gen.num_steps = 60;
-  const FuzzCase c = GenerateFuzzCase(GetParam(), gen);
+  const FuzzCase c = GenerateFuzzCase(params.seed, gen);
   ReplayOptions opts;
   opts.planner_batch_mirror = true;
+  opts.session.undo.indexed = params.indexed;
   const ReplayResult r = ReplayFuzzCase(c, opts);
-  EXPECT_TRUE(r.ok) << "seed " << GetParam() << " failed at step "
+  EXPECT_TRUE(r.ok) << "seed " << params.seed << " failed at step "
                     << r.failing_step << ": " << r.failure;
-  EXPECT_GT(r.applied, 0) << "seed " << GetParam();
+  EXPECT_GT(r.applied, 0) << "seed " << params.seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Tier1, PlannerFuzzCampaign,
-                         ::testing::Range<std::uint64_t>(1, 13));
+                         ::testing::ValuesIn(MakePlannerParams()),
+                         PlannerParamsName);
 
 TEST(PlannerCorpus, EveryReproReplaysCleanUnderBatchMirror) {
   const std::filesystem::path dir(PIVOT_CORPUS_DIR);
