@@ -157,9 +157,10 @@ bool RecoveryLatencyStudy(BenchJson& json) {
 }
 
 // Compaction A/B (DESIGN.md §13): the same snapshot-enabled workload with
-// retention off and on. With `compact` set, every durable snapshot
-// rewrites the journal down to genesis + that snapshot + the uncovered
-// tail, so the file tracks the live image instead of the whole history.
+// retention off and on. With `compact` set, every snapshot interval takes
+// a Checkpoint instead, rewriting the journal to genesis + one snapshot of
+// the live session, so the file tracks the live image instead of the
+// whole history.
 // Gates (full mode, history 1600 / interval 64): the compacted journal is
 // >= 5x smaller than the uncompacted one, and recovery from it stays
 // within 2x of the uncompacted snapshot recovery. Smoke mode only checks

@@ -50,13 +50,27 @@ TransformRecord* History::LastLive() {
   return nullptr;
 }
 
-void History::RewindTo(std::size_t size, OrderStamp next_stamp) {
+void History::NoteInversion(const TransformRecord& rec) {
+  const OrderStamp newest = next_ - 1;
+  if (out_of_order_mark_ >= newest) return;
+  for (auto it = records_.rbegin();
+       it != records_.rend() && it->stamp > rec.stamp; ++it) {
+    if (!it->undone) {
+      out_of_order_mark_ = newest;
+      return;
+    }
+  }
+}
+
+void History::RewindTo(std::size_t size, OrderStamp next_stamp,
+                       OrderStamp out_of_order_mark) {
   PIVOT_CHECK(size <= records_.size() && next_stamp <= next_);
   while (records_.size() > size) {
     by_stamp_.erase(records_.back().stamp);
     records_.pop_back();
   }
   next_ = next_stamp;
+  out_of_order_mark_ = out_of_order_mark;
   for (Listener* l : listeners_) l->OnHistoryRewind(size);
 }
 
@@ -69,6 +83,7 @@ void History::RestoreState(std::deque<TransformRecord> records,
     Add(std::move(rec));
   }
   next_ = next_stamp;
+  out_of_order_mark_ = next_stamp - 1;
 }
 
 std::string History::ToString(const Program& program) const {

@@ -51,20 +51,34 @@ class History {
 
   std::string ToString(const Program& program) const;
 
+  // --- Out-of-order inversions ---
+  // The newest stamp that existed when a record was inverted while a later
+  // record was still live (kNoStamp: never). A record stamped above it was
+  // applied after every such inversion, so once nothing later is live,
+  // inverting it restores the state it was applied to — the undo engine's
+  // LIFO fast path rests on that.
+  OrderStamp out_of_order_mark() const { return out_of_order_mark_; }
+  // Called as `rec` is inverted: raises the mark to the newest stamp when
+  // a record later than `rec` is still live (edits always are).
+  void NoteInversion(const TransformRecord& rec);
+
   // --- Transaction rollback ---
   std::size_t size() const { return records_.size(); }
   OrderStamp next_stamp() const { return next_; }
 
-  // Drops records added after the mark and returns the stamp counter to
-  // its value at transaction start (only the Transaction calls this; it
-  // never discards a record an action still refers to, because the same
-  // rollback removes those actions too).
-  void RewindTo(std::size_t size, OrderStamp next_stamp);
+  // Drops records added after the mark and returns the stamp counter and
+  // the out-of-order mark to their values at transaction start (only the
+  // Transaction calls this; it never discards a record an action still
+  // refers to, because the same rollback removes those actions too).
+  void RewindTo(std::size_t size, OrderStamp next_stamp,
+                OrderStamp out_of_order_mark);
 
   // --- Persistence restore ---
   // Installs a decoded snapshot image into an empty history. Goes through
   // Add() so listeners (the region index) mirror every record, then fast-
-  // forwards the stamp counter. Aborts if the history is non-empty.
+  // forwards the stamp counter. The image does not say which inversions
+  // were out of order, so the out-of-order mark starts at the newest
+  // stamp. Aborts if the history is non-empty.
   void RestoreState(std::deque<TransformRecord> records,
                     OrderStamp next_stamp);
 
@@ -75,6 +89,7 @@ class History {
   std::unordered_map<OrderStamp, TransformRecord*> by_stamp_;
   std::vector<Listener*> listeners_;
   OrderStamp next_ = 1;
+  OrderStamp out_of_order_mark_ = kNoStamp;
 };
 
 }  // namespace pivot

@@ -43,6 +43,7 @@ Transaction::Transaction(Journal& journal, History& history,
       analyses_(analyses),
       history_mark_(history.size()),
       next_stamp_mark_(history.next_stamp()),
+      out_of_order_mark_(history.out_of_order_mark()),
       next_stmt_mark_(journal.program().next_stmt_id()),
       next_expr_mark_(journal.program().next_expr_id()) {
   undone_mark_.reserve(history_mark_);
@@ -96,7 +97,7 @@ void Transaction::Rollback() {
     rec.undone = undone_mark_[i];
     ++i;
   }
-  history_.RewindTo(history_mark_, next_stamp_mark_);
+  history_.RewindTo(history_mark_, next_stamp_mark_, out_of_order_mark_);
   // The replay retired every node the operation created; hand their ids
   // out again, as replay of the journal (which never saw them) will.
   journal_.program().RewindIdCounters(next_stmt_mark_, next_expr_mark_);

@@ -67,8 +67,8 @@ class Transaction final : public Journal::Observer {
 
   // Reverses every observed journal event (latest first), restores the
   // undone flags of pre-existing history records, and rewinds the history
-  // to its transaction-start size and stamp counter and the program to its
-  // transaction-start id counters.
+  // to its transaction-start size, stamp counter and out-of-order mark and
+  // the program to its transaction-start id counters.
   void Rollback();
 
   bool active() const { return active_; }
@@ -83,6 +83,7 @@ class Transaction final : public Journal::Observer {
   std::vector<JournalEvent> events_;
   std::size_t history_mark_;
   OrderStamp next_stamp_mark_;
+  OrderStamp out_of_order_mark_;
   std::uint32_t next_stmt_mark_;
   std::uint32_t next_expr_mark_;
   std::vector<bool> undone_mark_;  // flags of records existing at start

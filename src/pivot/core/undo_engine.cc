@@ -266,7 +266,8 @@ UndoStats UndoEngine::UndoSet(const std::vector<OrderStamp>& stamps,
     // accept a mixed plan (oldest target inverted, a live interloper in
     // between, newest target probing clean) whose wave-1 burst did not
     // restore a previously-extant state. Probing from the oldest planned
-    // record decides suffix purity for everyone.
+    // record decides suffix purity for everyone; the out-of-order mark
+    // covers the inversions wave 1 made itself.
     const TransformRecord* oldest_planned = nullptr;
     for (const PlannedInversion& inversion : plan) {
       if (oldest_planned == nullptr ||
@@ -275,7 +276,7 @@ UndoStats UndoEngine::UndoSet(const std::vector<OrderStamp>& stamps,
       }
     }
     const bool suffix_revert =
-        oldest_planned != nullptr && ProvablyNoLiveLaterThan(*oldest_planned);
+        oldest_planned != nullptr && RevertsASuffix(*oldest_planned);
     for (const PlannedInversion& inversion : plan) {
       Adjudicate(*inversion.rec, inversion.inverted, stats, 0,
                  suffix_revert);
@@ -348,6 +349,7 @@ void UndoEngine::UndoOne(TransformRecord& rec, UndoStats& stats, int depth,
   }
 
   // Line 12: perform the inverse actions (reverse application order).
+  history_.NoteInversion(rec);
   std::vector<ActionId> inverted = InvertActions(rec, stats);
   rec.undone = true;
   ++stats.transforms_undone;
@@ -363,7 +365,7 @@ void UndoEngine::UndoOne(TransformRecord& rec, UndoStats& stats, int depth,
   }
   // Line 13: dependence and data-flow update — analyses are re-derived
   // lazily from the bumped program epoch.
-  Adjudicate(rec, inverted, stats, depth, ProvablyNoLiveLaterThan(rec));
+  Adjudicate(rec, inverted, stats, depth, RevertsASuffix(rec));
 }
 
 void UndoEngine::Adjudicate(TransformRecord& rec,
@@ -411,6 +413,11 @@ std::vector<ActionId> UndoEngine::InvertActions(TransformRecord& rec,
     ++stats.actions_inverted;
   }
   return inverted;
+}
+
+bool UndoEngine::RevertsASuffix(const TransformRecord& oldest) const {
+  return oldest.stamp > history_.out_of_order_mark() &&
+         ProvablyNoLiveLaterThan(oldest);
 }
 
 bool UndoEngine::ProvablyNoLiveLaterThan(const TransformRecord& undone) const {

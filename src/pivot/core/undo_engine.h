@@ -181,7 +181,7 @@ class UndoEngine {
   // Lines 15-29 for one inverted record: the affected region, the
   // affected and restored scans, and the closing trace event. When
   // `suffix_revert` holds the inversion restored a previously-extant
-  // state, and only the closing event remains (see ProvablyNoLiveLaterThan).
+  // state, and only the closing event remains (see RevertsASuffix).
   void Adjudicate(TransformRecord& rec, const std::vector<ActionId>& inverted,
                   UndoStats& stats, int depth, bool suffix_revert);
   // Optimized-planner fast path (active with the region index, without an
@@ -193,6 +193,13 @@ class UndoEngine {
   // (newest record) resolves in O(1). Returns false when unproven,
   // including past the probe cap.
   bool ProvablyNoLiveLaterThan(const TransformRecord& undone) const;
+  // The scans' half of the fast path: the inversions down to `oldest`
+  // restored a previously-extant state. That needs nothing later live
+  // (ProvablyNoLiveLaterThan) and `oldest` stamped above the history's
+  // out-of-order mark: no earlier record was inverted since it was
+  // applied. A cascade's own record fails the second test when the undo
+  // that reached it inverted an earlier record first.
+  bool RevertsASuffix(const TransformRecord& oldest) const;
   // The two Figure-4 scans. Each has one adjudication loop; only the
   // candidate source differs: the RegionIndex when present and no trace
   // is attached, the stamp-ordered history otherwise.

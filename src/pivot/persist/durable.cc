@@ -29,7 +29,6 @@ void RemoveStaleCompactTmp(const std::string& path) {
 
 // The newest snapshot frame whose image could be decoded and trusted.
 struct SnapshotChoice {
-  std::size_t frame_index = 0;  // index into the scanned frames
   DecodedImage decoded;         // the image, parsed
   std::uint64_t covered = 0;    // txn frames the image covers
 };
@@ -41,10 +40,10 @@ struct SnapshotChoice {
 // treated exactly like a corrupt frame). Frames of the retired
 // kRetiredDelta type are skipped: the full snapshot (or the genesis)
 // before them, plus the txn frames they summarized, covers the same state.
-// Appends one error per rejected candidate when `errors` is non-null.
+// Appends one error per rejected candidate.
 std::optional<SnapshotChoice> FindLatestUsableSnapshot(
     const std::vector<WalFrame>& frames, std::uint64_t txns_in_journal,
-    std::vector<std::string>* errors) {
+    std::vector<std::string>& errors) {
   for (std::size_t i = frames.size(); i-- > 1;) {
     if (frames[i].type != FrameType::kSnapshot) continue;
     try {
@@ -56,14 +55,11 @@ std::optional<SnapshotChoice> FindLatestUsableSnapshot(
             std::to_string(txns_in_journal));
       }
       SnapshotChoice choice;
-      choice.frame_index = i;
       choice.covered = body.txns;
       choice.decoded = DecodeSessionImage(body.payload);
       return choice;
     } catch (const ProgramError& e) {
-      if (errors != nullptr) {
-        errors->push_back("snapshot frame ignored: " + std::string(e.what()));
-      }
+      errors.push_back("snapshot frame ignored: " + std::string(e.what()));
     }
   }
   return std::nullopt;
@@ -77,11 +73,13 @@ std::optional<SnapshotChoice> FindLatestUsableSnapshot(
 
 DurableJournal::DurableJournal(Session& session, std::string path,
                                FileLock lock, WalWriter writer,
-                               PersistOptions options, JournalAck ack)
+                               std::string genesis, PersistOptions options,
+                               JournalAck ack)
     : session_(session),
       path_(std::move(path)),
       lock_(std::move(lock)),
       writer_(std::move(writer)),
+      genesis_(std::move(genesis)),
       options_(options),
       ack_(std::move(ack)) {}
 
@@ -105,14 +103,13 @@ std::unique_ptr<DurableJournal> DurableJournal::Create(
   try {
     WalWriter writer = WalWriter::Create(path);
     PIVOT_FAULT_POINT("persist.genesis.pre");
-    const std::string genesis =
-        EncodeGenesis(session.options(), session.Source());
+    std::string genesis = EncodeGenesis(session.options(), session.Source());
     writer.AppendFrame(FrameType::kGenesis, genesis, /*fsync=*/!ack,
                        "persist.genesis");
     if (ack) ack(FrameType::kGenesis, writer);
-    auto journal = std::unique_ptr<DurableJournal>(
-        new DurableJournal(session, path, std::move(lock), std::move(writer),
-                           options, std::move(ack)));
+    auto journal = std::unique_ptr<DurableJournal>(new DurableJournal(
+        session, path, std::move(lock), std::move(writer), std::move(genesis),
+        options, std::move(ack)));
     session.set_commit_listener(journal.get());
     return journal;
   } catch (const FaultInjectedError&) {
@@ -127,21 +124,8 @@ std::unique_ptr<DurableJournal> DurableJournal::Create(
 }
 
 std::unique_ptr<DurableJournal> DurableJournal::Reattach(
-    Session& session, const std::string& path, PersistOptions options,
-    JournalAck ack) {
-  return Attach(session, path, nullptr, options, std::move(ack));
-}
-
-std::unique_ptr<DurableJournal> DurableJournal::Reattach(
     Session& session, const std::string& path,
     const JournalRecoveryReport& recovered, PersistOptions options,
-    JournalAck ack) {
-  return Attach(session, path, &recovered, options, std::move(ack));
-}
-
-std::unique_ptr<DurableJournal> DurableJournal::Attach(
-    Session& session, const std::string& path,
-    const JournalRecoveryReport* recovered, PersistOptions options,
     JournalAck ack) {
   FileLock lock = FileLock::Acquire(path);
   RemoveStaleCompactTmp(path);
@@ -155,27 +139,22 @@ std::unique_ptr<DurableJournal> DurableJournal::Attach(
     throw ProgramError("durable journal: " + path +
                        " has a torn tail; run Session::Recover first");
   }
-  auto journal = std::unique_ptr<DurableJournal>(
-      new DurableJournal(session, path, std::move(lock),
-                         WalWriter::Append(path), options, std::move(ack)));
-  std::uint64_t txns = 0;
+  auto journal = std::unique_ptr<DurableJournal>(new DurableJournal(
+      session, path, std::move(lock), WalWriter::Append(path),
+      scan.frames[0].body, options, std::move(ack)));
   for (const WalFrame& frame : scan.frames) {
-    if (frame.type == FrameType::kTxn) ++txns;
+    if (frame.type == FrameType::kTxn) ++journal->txns_;
     if (frame.type == FrameType::kSnapshot) ++journal->snapshots_;
   }
-  journal->txns_ = txns;
-  // Snapshot cadence resumes from the snapshot recovery actually uses, not
-  // merely the last snapshot-typed frame: a trailing frame that fails to
-  // decode must not defer the next snapshot a full interval while
-  // recovery ignores it.
-  if (recovered != nullptr) {
-    journal->since_snapshot_ = std::min(recovered->txns_replayed, txns);
-  } else if (const std::optional<SnapshotChoice> choice =
-                 FindLatestUsableSnapshot(scan.frames, txns, nullptr)) {
-    journal->since_snapshot_ = txns - choice->covered;
-  } else {
-    journal->since_snapshot_ = txns;
-  }
+  // The txns recovery replayed are exactly those no usable snapshot
+  // covers: the snapshot cadence resumes from there.
+  journal->since_snapshot_ =
+      std::min(recovered.txns_replayed, journal->txns_);
+  // Genesis alone, or genesis and one snapshot with no txn behind it (it
+  // can only cover 0): a checkpoint would rewrite the same state.
+  journal->checkpointed_ =
+      scan.frames.size() == 1 ||
+      (scan.frames.size() == 2 && scan.frames[1].type == FrameType::kSnapshot);
   session.set_commit_listener(journal.get());
   return journal;
 }
@@ -197,6 +176,7 @@ void DurableJournal::ThrowIfBroken() const {
 void DurableJournal::Append(FrameType type, const std::string& body,
                             bool fsync) {
   const std::uint64_t pre = writer_.offset();
+  checkpointed_ = false;
   try {
     writer_.AppendFrame(type, body, fsync,
                         type == FrameType::kTxn ? "persist.txn"
@@ -246,134 +226,63 @@ void DurableJournal::OnCommitted(const TxnDescriptor& desc) {
     return;
   }
   try {
-    WriteSnapshot(/*fsync=*/!ack_);
-    if (options_.compact) Compact();
+    if (options_.compact) {
+      Checkpoint();
+    } else {
+      PIVOT_FAULT_POINT("persist.snapshot.pre");
+      Append(FrameType::kSnapshot,
+             EncodeSnapshotBody(txns_, EncodeSessionImage(session_)),
+             /*fsync=*/!ack_);
+      since_snapshot_ = 0;
+      ++snapshots_;
+    }
   } catch (const JournalWriteError&) {
     // The commit stands; the poisoned journal refuses the next.
   }
 }
 
-void DurableJournal::WriteSnapshot(bool fsync) {
-  PIVOT_FAULT_POINT("persist.snapshot.pre");
-  Append(FrameType::kSnapshot,
-         EncodeSnapshotBody(txns_, EncodeSessionImage(session_)), fsync);
-  since_snapshot_ = 0;
-  ++snapshots_;
-}
-
 void DurableJournal::Checkpoint() {
   ThrowIfBroken();
-  if (since_snapshot_ > 0) {
-    WriteSnapshot(/*fsync=*/true);
-    return;
-  }
-  try {
-    writer_.Sync();
-  } catch (const ProgramError& e) {
-    broken_ = true;
-    throw JournalWriteError(e.what());
-  }
-}
-
-void DurableJournal::Compact() {
-  ThrowIfBroken();
-  std::uint64_t dropped = 0;
-  try {
-    dropped = CompactJournalFile(path_);
-    if (dropped == 0) return;
-    // The old fd now references the replaced (unlinked) inode; swap it for
-    // one opened on the new file.
-    writer_ = WalWriter::Append(path_);
-  } catch (const FaultInjectedError&) {
-    broken_ = true;
-    throw;
-  } catch (const ProgramError& e) {
-    // The rewrite failed, or its rename could not be synced or reopened:
-    // the disk is failing, and the writer may hold a replaced file.
-    broken_ = true;
-    throw JournalWriteError(e.what());
-  }
-  txns_ -= dropped;
-  ++compactions_;
-}
-
-std::uint64_t CompactJournalFile(const std::string& path) {
-  PIVOT_FAULT_POINT("persist.compact.pre");
-  const WalScanResult scan = ScanWal(path);
-  if (!scan.header_ok || scan.frames.empty() ||
-      scan.valid_bytes != scan.file_bytes) {
-    return 0;  // not a clean journal; leave it to recovery
-  }
-  // Anchor: the newest snapshot. Without one there is nothing to reclaim.
-  std::size_t anchor = 0;
-  for (std::size_t i = scan.frames.size(); i-- > 1;) {
-    if (scan.frames[i].type == FrameType::kSnapshot) {
-      anchor = i;
-      break;
-    }
-  }
-  if (anchor == 0) return 0;
-  const std::uint64_t dropped =
-      DecodeSnapshotBody(scan.frames[anchor].body).txns;
-  // The writer only ever records the file's txn count as the covered
-  // count, so it must equal the txn frames actually preceding the anchor.
-  // A mismatch means the file was tampered with or this code is wrong —
-  // refuse to drop frames on inconsistent evidence and leave the journal
-  // as is (recovery will sort the file out).
-  std::uint64_t preceding = 0;
-  for (std::size_t i = 1; i < anchor; ++i) {
-    if (scan.frames[i].type == FrameType::kTxn) ++preceding;
-  }
-  if (dropped == 0 || preceding != dropped) return 0;
-
-  // Rewrite to <path>.compact: genesis, then the anchor and the txn and
-  // snapshot frames after it, with covered counts rebased by the dropped
-  // txns (retired kRetiredDelta frames are dropped too: the txns they
-  // summarized are all still here). The tmp is synced before the rename
-  // — the rename is the commit point, so a crash at any byte leaves
+  if (checkpointed_) return;
+  // The rewrite goes to <path>.compact, is synced, and is renamed over the
+  // journal; the rename is the commit point, so a crash at any byte leaves
   // either the complete old journal or the complete new one.
-  const std::string tmp = path + ".compact";
+  const std::string tmp = path_ + ".compact";
   try {
+    PIVOT_FAULT_POINT("persist.compact.pre");
     WalWriter out = WalWriter::Create(tmp, /*sync_dir=*/false);
-    out.AppendFrame(FrameType::kGenesis, scan.frames[0].body, false,
+    out.AppendFrame(FrameType::kGenesis, genesis_, false,
                     "persist.compact.genesis");
-    for (std::size_t i = anchor; i < scan.frames.size(); ++i) {
-      const WalFrame& frame = scan.frames[i];
-      if (frame.type == FrameType::kTxn) {
-        out.AppendFrame(FrameType::kTxn, frame.body, false,
-                        "persist.compact.txn");
-      } else if (frame.type == FrameType::kSnapshot) {
-        // Covered counts are file-relative: rebase them by the dropped
-        // prefix.
-        const SnapshotBody body = DecodeSnapshotBody(frame.body);
-        out.AppendFrame(
-            FrameType::kSnapshot,
-            EncodeSnapshotBody(body.txns >= dropped ? body.txns - dropped : 0,
-                               body.payload),
-            false, "persist.compact.snapshot");
-      }
-    }
+    out.AppendFrame(FrameType::kSnapshot,
+                    EncodeSnapshotBody(0, EncodeSessionImage(session_)), false,
+                    "persist.compact.snapshot");
     out.Sync("persist.compact.tmp.synced");
     PIVOT_FAULT_POINT("persist.compact.rename.pre");
-    if (::rename(tmp.c_str(), path.c_str()) != 0) {
-      throw ProgramError("journal compaction: rename failed: " +
+    if (::rename(tmp.c_str(), path_.c_str()) != 0) {
+      throw ProgramError("journal checkpoint: rename failed: " +
                          std::string(std::strerror(errno)));
     }
+    // Appends after this land in the new file only: its name must be as
+    // durable as they are.
+    SyncParentDir(path_);
+    PIVOT_FAULT_POINT("persist.compact.rename.post");
+    // The old fd references the replaced (unlinked) inode.
+    writer_ = WalWriter::Append(path_);
   } catch (const FaultInjectedError&) {
     // The crash harness: the "process" is dead. Leave the tmp file behind
     // exactly like a real crash would — recovery deletes it.
+    broken_ = true;
     throw;
-  } catch (...) {
-    // Nothing was renamed: the live journal is untouched.
-    std::remove(tmp.c_str());
-    throw;
+  } catch (const ProgramError& e) {
+    std::remove(tmp.c_str());  // no-op once renamed
+    broken_ = true;
+    throw JournalWriteError(e.what());
   }
-  // Appends after this land in the new file only: its name must be as
-  // durable as they are. A failure here leaves a complete journal under
-  // the name either way, so it only reaches the caller.
-  SyncParentDir(path);
-  PIVOT_FAULT_POINT("persist.compact.rename.post");
-  return dropped;
+  txns_ = 0;
+  since_snapshot_ = 0;
+  ++snapshots_;
+  ++compactions_;
+  checkpointed_ = true;
 }
 
 // ---------------------------------------------------------------------------
@@ -450,7 +359,7 @@ std::optional<RecoverResult> RecoverOnce(const std::string& path,
   std::unique_ptr<Session> session;
   std::uint64_t skip_txns = 0;
   if (std::optional<SnapshotChoice> choice = FindLatestUsableSnapshot(
-          scan.frames, rep.txns_in_journal, &errors)) {
+          scan.frames, rep.txns_in_journal, errors)) {
     session = std::make_unique<Session>(std::move(choice->decoded.program),
                                         genesis.options);
     session->RestorePersistedState(std::move(choice->decoded.state));

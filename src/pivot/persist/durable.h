@@ -10,20 +10,28 @@
 //   OnCommit    — append the txn frame and run the ack (see JournalAck);
 //                 a failure throws and the session rolls the operation
 //                 back;
-//   OnCommitted — optionally append a full-session snapshot (policy:
-//                 every `snapshot_interval` transactions). Snapshots are
+//   OnCommitted — every `snapshot_interval` transactions, append a
+//                 full-session snapshot frame, or with
+//                 PersistOptions::compact take a Checkpoint. Snapshots are
 //                 pure read optimization: recovery is snapshot +
 //                 tail-replay instead of whole-history replay, and a torn
 //                 snapshot is just a truncatable tail.
 //
+// A Checkpoint rewrites the file from the live session: genesis plus one
+// snapshot covering it, written to `<path>.compact`, synced, and renamed
+// over the journal, with the rename synced to the directory. A crash at
+// any point (the persist.compact.* fault points) leaves the complete old
+// file or the complete new one, and a stale tmp is removed by the next
+// attach or recovery.
+//
 // Failure policy, one rule per case:
 //   * a write fault on an attached journal — any permanent write(2) or
-//     sync failure of a txn frame, a snapshot, a Checkpoint or a
-//     compaction — poisons it: the file may now end mid-frame, and frames
-//     appended behind a tear would be invisible to the scanner. The call
+//     sync failure of a txn frame, a snapshot or a Checkpoint — poisons
+//     it: the file may now end mid-frame, and frames appended behind a
+//     tear would be invisible to the scanner. The call
 //     throws JournalWriteError and so does every later commit; recover the
 //     file to go on. A txn frame's operation is rolled back by the
-//     session; a snapshot or compaction fault after a commit does not
+//     session; a snapshot or Checkpoint fault after a commit does not
 //     fail that commit (it is already durable and acknowledged) — the
 //     next commit reports it;
 //   * an ack that refuses a written txn frame (overload, deadline, a
@@ -61,11 +69,10 @@ struct PersistOptions {
   // > 0: append a full-session snapshot frame after every N committed
   // transactions. 0 = never (recovery replays the whole history).
   int snapshot_interval = 0;
-  // After each snapshot, rewrite the journal in place (genesis + that
-  // snapshot + the uncovered tail; everything the snapshot covers is
-  // dropped) via an atomic tmp-file rename — see CompactJournalFile. This
-  // is what makes journal size proportional to live history instead of
-  // monotonically increasing.
+  // At each interval, take a Checkpoint (rewrite the journal to genesis +
+  // one snapshot of the live session) instead of appending a snapshot
+  // frame. This is what makes journal size proportional to live history
+  // instead of monotonically increasing.
   bool compact = false;
 };
 
@@ -107,18 +114,11 @@ class DurableJournal final : public CommitListener {
                                                 PersistOptions options = {},
                                                 JournalAck ack = {});
 
-  // Resumes journaling an existing file: appends after the current end,
-  // which must already be truncated to a valid prefix. The session must
-  // hold exactly the state the file replays to. This form finds the
-  // snapshot recovery would use by decoding snapshot images; the form
-  // below takes it from the recovery that just ran instead.
-  static std::unique_ptr<DurableJournal> Reattach(Session& session,
-                                                  const std::string& path,
-                                                  PersistOptions options = {},
-                                                  JournalAck ack = {});
-  // For a session RecoverSession(path) just rebuilt: the snapshot cadence
-  // resumes from `recovered` (the txns it replayed are exactly those no
-  // usable snapshot covers), so reattaching decodes no image.
+  // Resumes journaling the file a session was just recovered from
+  // (RecoverSession(path) rebuilt `session` and reported `recovered`):
+  // appends after the current end, which recovery truncated to a valid
+  // prefix. The snapshot cadence resumes from `recovered` — the txns it
+  // replayed are exactly those no usable snapshot covers.
   static std::unique_ptr<DurableJournal> Reattach(
       Session& session, const std::string& path,
       const JournalRecoveryReport& recovered, PersistOptions options = {},
@@ -135,67 +135,55 @@ class DurableJournal final : public CommitListener {
   // policy): no further frame may be appended. Recover the file instead.
   bool broken() const { return broken_; }
 
-  // Txn frames in the file (compaction rebases this count).
+  // Txn frames in the file (a Checkpoint folds them all into its
+  // snapshot).
   std::uint64_t txns_written() const { return txns_; }
   std::uint64_t snapshots_written() const { return snapshots_; }
+  // Checkpoints that rewrote the file.
   std::uint64_t compactions() const { return compactions_; }
   // Current journal file size (the next append offset).
   std::uint64_t journal_bytes() const { return writer_.offset(); }
 
-  // Makes the file the sole authority for the session's state: a final
-  // snapshot synced to the file (a bare sync when the last snapshot
-  // already covers everything). Throws JournalWriteError when poisoned or
-  // on a permanent fault (which poisons).
+  // Makes the file the sole authority for the session's state, and as
+  // small as it can be: rewrites it to the genesis frame plus
+  // EncodeSnapshotBody(0, EncodeSessionImage(session)) and reopens the
+  // writer on the new file (see the protocol above). Does nothing when no
+  // frame was appended since the file last held only genesis, or genesis
+  // and one snapshot covering 0 txns. Throws JournalWriteError when
+  // poisoned or on a permanent fault (which poisons).
   void Checkpoint();
-
-  // Rewrites the journal down to genesis + the latest snapshot + the
-  // frames after it (CompactJournalFile) and reopens the file. Runs
-  // automatically after each snapshot when PersistOptions::compact is
-  // set; public for explicit calls (tools, tests).
-  void Compact();
 
  private:
   DurableJournal(Session& session, std::string path, FileLock lock,
-                 WalWriter writer, PersistOptions options, JournalAck ack);
-  static std::unique_ptr<DurableJournal> Attach(
-      Session& session, const std::string& path,
-      const JournalRecoveryReport* recovered, PersistOptions options,
-      JournalAck ack);
+                 WalWriter writer, std::string genesis, PersistOptions options,
+                 JournalAck ack);
   // Appends one txn or snapshot frame under the failure policy; only txn
   // frames are acked.
   void Append(FrameType type, const std::string& body, bool fsync);
-  void WriteSnapshot(bool fsync);
   void ThrowIfBroken() const;
 
   Session& session_;
   const std::string path_;
   // Held for the journal's lifetime: no second process (or second journal
   // in this process) may append to the same WAL (see persist/filelock.h).
-  // flock() follows the separate `<path>.lock` file, so the compaction
+  // flock() follows the separate `<path>.lock` file, so the Checkpoint
   // rename of the journal itself does not disturb it.
   FileLock lock_;
   WalWriter writer_;
+  // The genesis frame's body, which every Checkpoint writes first.
+  const std::string genesis_;
   const PersistOptions options_;
   const JournalAck ack_;
-  // Txn frames in the file: committed txns minus those compaction dropped.
+  // Txn frames in the file: committed txns minus those a Checkpoint folded.
   std::uint64_t txns_ = 0;
   std::uint64_t since_snapshot_ = 0;
   std::uint64_t snapshots_ = 0;
   std::uint64_t compactions_ = 0;
+  // The file holds genesis alone, or genesis and one snapshot covering 0
+  // txns, and nothing was appended since: Checkpoint has nothing to do.
+  bool checkpointed_ = true;
   bool broken_ = false;
 };
-
-// Rewrites the journal at `path` down to genesis + its newest snapshot +
-// the frames after it, dropping every txn frame the snapshot covers, and
-// returns how many it dropped (0 = nothing to do: no snapshot, an anchor
-// the preceding frames do not corroborate, or a file that is not a clean
-// journal — left for recovery). The rewrite goes to `<path>.compact`, is
-// synced, and is renamed over the journal atomically, and the rename is
-// synced to the directory: a crash at any point (the persist.compact.*
-// fault points) leaves the complete old file or the complete new one, and
-// a stale tmp is removed by the next attach or recovery. The caller holds
-// the journal's flock and no writer may append meanwhile.
-std::uint64_t CompactJournalFile(const std::string& path);
 
 // What recovery found and did. Golden-tested: ToString() is part of the
 // interface.

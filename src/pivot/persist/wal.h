@@ -66,9 +66,9 @@ enum class FrameType : unsigned char {
   kRetiredDelta = 5,  // a snapshot image encoded as a delta against the
                       // previous one, written by older builds. Still a
                       // valid frame (so an old journal keeps its tail),
-                      // but recovery and compaction skip it: a full
-                      // snapshot or the genesis before it, plus the txn
-                      // frames, already cover its state
+                      // but recovery skips it: a full snapshot or the
+                      // genesis before it, plus the txn frames, already
+                      // cover its state
 };
 
 // Appends frames to a journal file via POSIX fd I/O. The writer does not

@@ -3,19 +3,18 @@
 // PivotServer keeps every opened session resident forever, so thousands of
 // idle sessions exhaust the process long before traffic does. The paper's
 // premise — session state is a deterministic function of the journal — is
-// the license to *passivate* an idle session: append one final snapshot,
-// fsync the WAL, release the in-memory Session and its journal, and keep
-// only a stub (the name). The next request for the name *reactivates* it
-// transparently through the ordinary Session::Recover path (snapshot +
-// tail replay), so clients never observe the eviction beyond latency.
-// Passivation always compacts the WAL down to genesis + snapshot + tail,
-// so a passivated session's disk footprint tracks its live state, not its
-// whole history.
+// the license to *passivate* an idle session: checkpoint the WAL (rewrite
+// it from the live session to genesis + one snapshot, durably), release
+// the in-memory Session and its journal, and keep only a stub (the name).
+// The next request for the name *reactivates* it transparently through
+// the ordinary Session::Recover path (snapshot + tail replay), so clients
+// never observe the eviction beyond latency. A passivated session's disk
+// footprint tracks its live state, not its whole history, and a session
+// reactivated only to serve reads is passivated again without a write.
 //
 // This header holds the policy knobs and the byte-accounted LRU the server
 // uses to pick victims; the passivation/reactivation machinery itself lives
-// in server.cc, on top of persist's DurableJournal (Checkpoint for the
-// final snapshot, CompactJournalFile for the rewrite after release).
+// in server.cc, on top of persist's DurableJournal::Checkpoint.
 #ifndef PIVOT_SERVER_LIFECYCLE_H_
 #define PIVOT_SERVER_LIFECYCLE_H_
 

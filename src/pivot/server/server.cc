@@ -619,13 +619,13 @@ Response PivotServer::DoRecover(const Request& req) {
 // ---------------------------------------------------------------------------
 
 // The eviction sequence, under hosted->mu:
-//   1. final durable snapshot (or bare sync) — the file becomes the sole
-//      authority for the session's state;
-//   2. release the journal and the Session, leaving the stub;
-//   3. rewrite the WAL down to genesis + snapshot + tail.
-// A crash between any two steps is covered: the snapshot of step 1 is
-// durable before anything is released, and the compaction of step 3 is
-// atomic (tmp + rename) with stale tmps cleaned at reactivation.
+//   1. Checkpoint: the WAL is rewritten from the live session to genesis +
+//      one snapshot (tmp + rename), so the file becomes the sole authority
+//      for the session's state — nothing to write when it already is;
+//   2. release the journal and the Session, leaving the stub.
+// A crash at any point is covered: the old file stays complete until the
+// rename, the new one is synced before it, and a stale tmp is cleaned at
+// reactivation. Nothing is released before step 1 is durable.
 bool PivotServer::PassivateLocked(const std::shared_ptr<Hosted>& hosted) {
   PIVOT_FAULT_POINT("server.evict.pre");
   try {
@@ -649,18 +649,6 @@ bool PivotServer::PassivateLocked(const std::shared_ptr<Hosted>& hosted) {
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.passivations;
-  }
-  try {
-    // The journal's flock was just released; re-acquire it for the rewrite
-    // so no other process can race the rename.
-    const std::string path = SessionWalPath(hosted->name);
-    FileLock lock = FileLock::Acquire(path);
-    CompactJournalFile(path);
-  } catch (const FaultInjectedError&) {
-    throw;  // crash harness
-  } catch (...) {
-    // Compaction is an optimization — the uncompacted file is valid and
-    // reactivation does not depend on it.
   }
   PIVOT_FAULT_POINT("server.evict.stub.post");
   return true;

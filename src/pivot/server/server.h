@@ -21,10 +21,10 @@
 //     commit. The SIGTERM half of tools/pivot_serve;
 //   * session lifecycle — a byte-accounted LRU of resident sessions with
 //     a configurable memory budget and idle-age passivation: eviction
-//     appends one final durable snapshot, releases the Session and its
-//     journal, and compacts the WAL, keeping only a stub (the name); the
-//     next request reactivates the session transparently through
-//     Session::Recover (see server/lifecycle.h).
+//     checkpoints the WAL (rewrites it from the live session to genesis +
+//     one snapshot) and releases the Session and its journal, keeping only
+//     a stub (the name); the next request reactivates the session
+//     transparently through Session::Recover (see server/lifecycle.h).
 //
 // Durability contract (crash-swept in tests/server_crash_test.cc): each
 // session is journaled by a persist DurableJournal whose ack is the

@@ -120,17 +120,15 @@ const std::vector<std::string>& FaultInjector::KnownPoints() {
       "persist.recover.truncate.pre",
       // WalWriter::Create has synced a new journal's directory entry.
       "persist.create.dir.synced",
-      // Journal compaction crash points. The tmp-file frames
-      // (.genesis/.snapshot/.txn triples) tear the rewrite before the
-      // rename commit point; .rename.pre/.post straddle it. Crash anywhere
-      // must leave either the complete old journal or the complete new
-      // one.
+      // Checkpoint (journal rewrite) crash points. The tmp-file frames
+      // (.genesis/.snapshot triples) tear the rewrite before the rename
+      // commit point; .rename.pre/.post straddle it. Crash anywhere must
+      // leave either the complete old journal or the complete new one.
       "persist.compact.pre",
       "persist.compact.genesis.header.post", "persist.compact.genesis.mid",
       "persist.compact.genesis.post",        "persist.compact.snapshot.header.post",
       "persist.compact.snapshot.mid",        "persist.compact.snapshot.post",
-      "persist.compact.txn.header.post",     "persist.compact.txn.mid",
-      "persist.compact.txn.post",            "persist.compact.tmp.synced",
+      "persist.compact.tmp.synced",
       "persist.compact.rename.pre",          "persist.compact.rename.post",
       // Server crash points. A session's WAL frames cross the persist.*
       // points above (its DurableJournal appends without syncing; the
@@ -145,11 +143,11 @@ const std::vector<std::string>& FaultInjector::KnownPoints() {
       "server.group.sync.post",
       "server.ack.pre",
       // Session eviction (passivation/reactivation) crash points. The
-      // final durable snapshot and the WAL rewrite cross persist.snapshot.*
-      // and persist.compact.*; evict.pre precedes them; release.pre sits
-      // between the snapshot fsync and the stub publication; stub.post is
-      // the fully passivated state; reactivate.pre/.post straddle the
-      // Session::Recover + reattach of the next request.
+      // Checkpoint crosses persist.compact.*; evict.pre precedes it;
+      // release.pre sits between the durable rename and the stub
+      // publication; stub.post is the fully passivated state;
+      // reactivate.pre/.post straddle the Session::Recover + reattach of
+      // the next request.
       "server.evict.pre",
       "server.evict.release.pre",
       "server.evict.stub.post",

@@ -204,7 +204,7 @@ bool CrashRecoverCheck(const std::string& point, int countdown) {
   return CrashRecoverCheck(point, countdown, opts, /*no_hybrid=*/false);
 }
 
-// The compaction sweep's options: every snapshot (@3, @6, @9) rewrites the
+// The checkpoint sweep's options: every interval (@3, @6, @9) rewrites the
 // journal in place.
 PersistOptions CompactingOpts() {
   PersistOptions opts;
@@ -247,13 +247,13 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-// The automatic-compaction sweep: the same schedule with in-place journal
-// rewrites after every snapshot. A crash at any compaction point must
-// leave either the complete old journal or the complete new one (the
-// rename is the only commit point), and recovery must land on the exact
-// durable prefix either way. The compaction fires post-ack with the txn
-// frame already fsynced, so the durable step count is acked+1 — the same
-// accounting as the snapshot points.
+// The automatic-checkpoint sweep: the same schedule with a Checkpoint
+// (in-place journal rewrite) at every snapshot interval. A crash at any
+// checkpoint point must leave either the complete old journal or the
+// complete new one (the rename is the only commit point), and recovery
+// must land on the exact durable prefix either way. The Checkpoint fires
+// post-ack with the txn frame already fsynced, so the durable step count
+// is acked+1 — the same accounting as the snapshot points.
 class CompactAutoCrashSweep : public ::testing::TestWithParam<const char*> {
  protected:
   void SetUp() override { FaultInjector::Instance().Reset(); }
@@ -275,10 +275,8 @@ TEST_P(CompactAutoCrashSweep, EveryCrossingLeavesOldOrNewNeverHybrid) {
                           << " was never crossed by the schedule";
 }
 
-// Automatic compaction anchors on a just-written snapshot, which is
-// always the last frame — so the rewrite never copies txn frames and the
-// persist.compact.txn.* points cannot fire here. They are swept by the
-// explicit-Compact test below, whose anchor has a tail behind it.
+// Both tests cross every persist.compact.* point: a Checkpoint writes
+// genesis and one snapshot, whatever the journal held before it.
 INSTANTIATE_TEST_SUITE_P(
     CompactionPoints, CompactAutoCrashSweep,
     ::testing::Values("persist.compact.pre",
@@ -299,11 +297,11 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-// Crashes an explicit DurableJournal::Compact at crossing `countdown` of
-// `point`. The journal holds txn frames behind the snapshot anchor
-// (snapshots @3/@6/@9 + txns 10-11), so the rewrite copies and rebases
-// frames of every kind. Whatever the crash point, the file must scan clean
-// and recover the full schedule.
+// Crashes an explicit DurableJournal::Checkpoint at crossing `countdown`
+// of `point`. The journal holds snapshots @3/@6/@9 and txns 10-11 behind
+// the last one, all folded into the checkpoint's one snapshot. Whatever
+// the crash point, the file must scan clean and recover the full
+// schedule.
 bool ExplicitCompactCrashCheck(const std::string& point, int countdown) {
   const std::string label = point + " #" + std::to_string(countdown);
   std::string tag = point;
@@ -324,7 +322,7 @@ bool ExplicitCompactCrashCheck(const std::string& point, int countdown) {
     }
     injector.Arm(point, countdown);
     try {
-      wal->Compact();
+      wal->Checkpoint();
     } catch (const FaultInjectedError&) {
       crashed = true;
     }
@@ -353,38 +351,8 @@ TEST_P(CompactAutoCrashSweep, ExplicitCompactWithATailIsAllOrNothing) {
     if (HasFatalFailure()) return;
   }
   EXPECT_GT(crossings, 0) << "fault point " << point
-                          << " was never crossed by an explicit Compact";
+                          << " was never crossed by an explicit Checkpoint";
 }
-
-class CompactTxnCrashSweep : public ::testing::TestWithParam<const char*> {
- protected:
-  void SetUp() override { FaultInjector::Instance().Reset(); }
-  void TearDown() override { FaultInjector::Instance().Reset(); }
-};
-
-TEST_P(CompactTxnCrashSweep, TornCopiedTxnFramesAreAllOrNothing) {
-  const std::string point = GetParam();
-  int crossings = 0;
-  for (int countdown = 1; countdown < 200; ++countdown) {
-    if (!ExplicitCompactCrashCheck(point, countdown)) break;
-    ++crossings;
-    if (HasFatalFailure()) return;
-  }
-  EXPECT_GT(crossings, 0) << "fault point " << point
-                          << " was never crossed by an explicit Compact";
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    CompactionTxnPoints, CompactTxnCrashSweep,
-    ::testing::Values("persist.compact.txn.header.post",
-                      "persist.compact.txn.mid", "persist.compact.txn.post"),
-    [](const ::testing::TestParamInfo<const char*>& info) {
-      std::string name = info.param;
-      for (char& c : name) {
-        if (c == '.') c = '_';
-      }
-      return name;
-    });
 
 // A crash while *recovery itself* truncates the tail must leave the file
 // recoverable: the next recovery attempt finds the same (or an already

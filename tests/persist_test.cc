@@ -515,9 +515,12 @@ TEST_F(Durable, ReattachContinuesAnExistingJournal) {
     ASSERT_TRUE(s.ApplyFirst(TransformKind::kCfo).has_value());
     ASSERT_TRUE(s.ApplyFirst(TransformKind::kCtp).has_value());
   }
+  RecoverResult resumed = Session::Recover(path);
   {
-    auto wal = DurableJournal::Reattach(s, path);
+    auto wal =
+        DurableJournal::Reattach(*resumed.session, path, resumed.report);
     EXPECT_EQ(wal->txns_written(), 2u);
+    ASSERT_TRUE(resumed.session->ApplyFirst(TransformKind::kDce).has_value());
     ASSERT_TRUE(s.ApplyFirst(TransformKind::kDce).has_value());
     EXPECT_EQ(wal->txns_written(), 3u);
   }
@@ -533,9 +536,10 @@ TEST_F(Durable, ReattachRefusesATornFile) {
     auto wal = DurableJournal::Create(s, path);
     ASSERT_TRUE(s.ApplyFirst(TransformKind::kCfo).has_value());
   }
+  RecoverResult r = Session::Recover(path);
   WriteFileBytes(path, ReadFileBytes(path) + "torn");
-  Session fresh(Parse(kSource));
-  EXPECT_THROW(DurableJournal::Reattach(fresh, path), ProgramError);
+  EXPECT_THROW(DurableJournal::Reattach(*r.session, path, r.report),
+               ProgramError);
 }
 
 TEST_F(Durable, AWriteFaultRollsBackAndPoisonsTheJournal) {
@@ -629,7 +633,7 @@ TEST_F(Durable, RefusedCommitsLeaveTheIdCountersWhereReplayHasThem) {
 
 // Older builds could write delta-encoded snapshots (frame type 5). A
 // journal holding one still scans clean — its tail is not cut — while
-// recovery rebuilds from the full snapshot before it and compaction
+// recovery rebuilds from the full snapshot before it and a Checkpoint
 // drops it.
 TEST_F(Durable, ARetiredDeltaFrameIsScannedButSkipped) {
   const std::string path = TmpPath("retired_delta");
@@ -661,20 +665,20 @@ TEST_F(Durable, ARetiredDeltaFrameIsScannedButSkipped) {
   ExpectEquivalent(s, *r.session, "recovery past a retired delta frame");
 
   auto wal = DurableJournal::Reattach(*r.session, path, r.report, opts);
-  wal->Compact();
+  wal->Checkpoint();
   EXPECT_EQ(wal->compactions(), 1u);
   wal.reset();
   std::vector<FrameType> types;
   for (const WalFrame& f : ScanWal(path).frames) types.push_back(f.type);
-  const std::vector<FrameType> expected = {
-      FrameType::kGenesis, FrameType::kSnapshot, FrameType::kTxn};
+  const std::vector<FrameType> expected = {FrameType::kGenesis,
+                                           FrameType::kSnapshot};
   EXPECT_EQ(types, expected);
 }
 
 // Older version-3 builds wrote a " base <n>" clause into compacted
 // snapshots (the txn frames compaction had dropped from beneath the file).
 // Current builds no longer write it, but a file that carries one still
-// recovers from that snapshot, and the journal appends and compacts on.
+// recovers from that snapshot, and the journal appends and checkpoints on.
 TEST_F(Durable, ASnapshotWithTheRetiredBaseClauseStillRecovers) {
   const std::string path = TmpPath("retired_base");
   Session s(Parse(kSource));
@@ -701,14 +705,14 @@ TEST_F(Durable, ASnapshotWithTheRetiredBaseClauseStillRecovers) {
   ExpectEquivalent(s, *r.session, "recovery from a snapshot with a base");
 
   auto wal = DurableJournal::Reattach(*r.session, path, r.report, opts);
-  wal->Compact();
-  EXPECT_EQ(wal->txns_written(), 1u);
+  wal->Checkpoint();
+  EXPECT_EQ(wal->txns_written(), 0u);
   wal.reset();
   const WalScanResult compacted = ScanWal(path);
-  ASSERT_EQ(compacted.frames.size(), 3u);
+  ASSERT_EQ(compacted.frames.size(), 2u);
   EXPECT_EQ(compacted.frames[1].body.rfind("txns 0\n", 0), 0u);
   ExpectEquivalent(s, *Session::Recover(path).session,
-                   "recovery after compacting it");
+                   "recovery after checkpointing it");
 }
 
 // A snapshot frame that scans (valid CRC) but does not decode is ignored:
@@ -793,12 +797,18 @@ TEST_F(Durable, ReattachIgnoresACorruptTrailingSnapshot) {
   RewriteFrame(path, scan.frames.size() - 1, FrameType::kSnapshot,
                EncodeSnapshotBody(3, "garbage, not an image"));
 
-  auto wal = DurableJournal::Reattach(s, path, opts);
+  RecoverResult resumed = Session::Recover(path);
+  EXPECT_FALSE(resumed.report.used_snapshot);
+  auto wal =
+      DurableJournal::Reattach(*resumed.session, path, resumed.report, opts);
   // snapshots_written() counts snapshot-typed frames, corrupt or not.
   EXPECT_EQ(wal->snapshots_written(), 1u);
   // All 3 txns are uncovered by any usable snapshot, so the very next
   // commit re-snapshots instead of waiting out a fresh interval.
-  s.editor().AddStmt(MakeWrite(MakeIntConst(7)), nullptr, BodyKind::kMain, 0);
+  for (Session* each : {&s, resumed.session.get()}) {
+    each->editor().AddStmt(MakeWrite(MakeIntConst(7)), nullptr,
+                           BodyKind::kMain, 0);
+  }
   EXPECT_EQ(wal->snapshots_written(), 2u);
   wal.reset();
 
@@ -845,9 +855,11 @@ TEST_F(Durable, CompactionShrinksTheJournalAndStaysRecoverable) {
   ExpectEquivalent(s, *r.session, "recovery after compaction");
 
   // Reattach continues the compacted file and keeps compacting.
-  auto again = DurableJournal::Reattach(s, path, opts);
-  ASSERT_TRUE(s.ApplyFirst(TransformKind::kCtp).has_value());
-  s.UndoLast();
+  auto again = DurableJournal::Reattach(*r.session, path, r.report, opts);
+  for (Session* each : {&s, r.session.get()}) {
+    ASSERT_TRUE(each->ApplyFirst(TransformKind::kCtp).has_value());
+    each->UndoLast();
+  }
   EXPECT_EQ(again->compactions(), 1u);
   again.reset();
   RecoverResult r2 = Session::Recover(path);
@@ -855,31 +867,35 @@ TEST_F(Durable, CompactionShrinksTheJournalAndStaysRecoverable) {
   ExpectEquivalent(s, *r2.session, "recovery after reattach + compaction");
 }
 
-TEST_F(Durable, ExplicitCompactKeepsTheUncoveredTail) {
-  const std::string path = TmpPath("compact_tail");
+// A Checkpoint writes the live session, not the file's last snapshot: the
+// txn after that snapshot is folded in with everything before it.
+TEST_F(Durable, ExplicitCheckpointFoldsTheTailIntoOneSnapshot) {
+  const std::string path = TmpPath("checkpoint_tail");
   Session s(Parse(kSource));
   PersistOptions opts;
   opts.snapshot_interval = 3;  // snapshot after txn 3; txn 4 is the tail
   auto wal = DurableJournal::Create(s, path, opts);
   RunWorkload(s);
   EXPECT_EQ(wal->compactions(), 0u);
-  wal->Compact();
+  wal->Checkpoint();
   EXPECT_EQ(wal->compactions(), 1u);
-  EXPECT_EQ(wal->txns_written(), 1u);  // rebased: only the tail txn remains
+  EXPECT_EQ(wal->txns_written(), 0u);
+  wal->Checkpoint();  // nothing appended since: no rewrite
+  EXPECT_EQ(wal->compactions(), 1u);
   wal.reset();
 
   const WalScanResult scan = ScanWal(path);
-  ASSERT_EQ(scan.frames.size(), 3u);
+  ASSERT_EQ(scan.frames.size(), 2u);
   EXPECT_EQ(scan.frames[0].type, FrameType::kGenesis);
   EXPECT_EQ(scan.frames[1].type, FrameType::kSnapshot);
-  EXPECT_EQ(scan.frames[2].type, FrameType::kTxn);
-  EXPECT_EQ(DecodeSnapshotBody(scan.frames[1].body).txns, 0u);
+  EXPECT_EQ(scan.frames[1].body,
+            EncodeSnapshotBody(0, EncodeSessionImage(s)));
 
   RecoverResult r = Session::Recover(path);
   EXPECT_TRUE(r.report.used_snapshot);
-  EXPECT_EQ(r.report.txns_replayed, 1u);
+  EXPECT_EQ(r.report.txns_replayed, 0u);
   EXPECT_TRUE(r.report.validator_ok);
-  ExpectEquivalent(s, *r.session, "compacted journal with a tail");
+  ExpectEquivalent(s, *r.session, "checkpointed journal");
 }
 
 TEST_F(Durable, StaleCompactionTmpIsCleanedUp) {
@@ -891,11 +907,11 @@ TEST_F(Durable, StaleCompactionTmpIsCleanedUp) {
   // A crash between writing <path>.compact and the rename leaves the tmp
   // behind; both recovery and reattach must discard it.
   WriteFileBytes(tmp, "leftover from a dead compaction");
-  Session::Recover(path);
+  RecoverResult r = Session::Recover(path);
   EXPECT_FALSE(std::filesystem::exists(tmp));
 
   WriteFileBytes(tmp, "leftover from a dead compaction");
-  DurableJournal::Reattach(s, path).reset();
+  DurableJournal::Reattach(*r.session, path, r.report).reset();
   EXPECT_FALSE(std::filesystem::exists(tmp));
 }
 

@@ -59,8 +59,12 @@ ServerOptions Opts(const std::string& dir, bool evict = false) {
   if (evict) {
     // One resident session max: with the two-session interleaved schedule,
     // nearly every request passivates the other session and reactivates
-    // its own, so the eviction points are crossed continuously.
+    // its own, so the eviction points are crossed continuously. A
+    // reactivated session starts a fresh interval and commits once before
+    // it is passivated again, so only an interval of 1 still writes
+    // snapshot frames in this schedule.
     o.lifecycle.max_resident = 1;
+    o.snapshot_interval = 1;
   }
   return o;
 }
@@ -193,11 +197,12 @@ void CheckRecoveredSession(PivotServer& server, int session,
 bool CrashRecoverCheck(const std::string& point, int countdown,
                        bool evict = false) {
   const std::string label = point + " #" + std::to_string(countdown);
-  // Per-point directory: ctest runs the sweep's points as parallel
-  // processes, and a shared directory races on remove_all.
+  // Per-point, per-sweep directory: ctest runs the sweeps' points as
+  // parallel processes (both sweeps arm persist.snapshot.*), and a shared
+  // directory races on remove_all.
   std::string tag = point;
   std::replace(tag.begin(), tag.end(), '.', '_');
-  const std::string dir = FreshDir("sweep_" + tag);
+  const std::string dir = FreshDir((evict ? "evict_sweep_" : "sweep_") + tag);
   const auto schedule = InterleavedSchedule();
 
   FaultInjector& injector = FaultInjector::Instance();
@@ -327,9 +332,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 // The eviction sweep: max_resident=1 forces the two-session schedule to
 // passivate one session and reactivate the other on nearly every request,
-// so the server.evict.* points — the final durable snapshot, the window
-// between that fsync and the stub publication, the passivated-WAL rewrite,
-// the reactivation replay — are crossed continuously. The oracle is the
+// so the server.evict.* points — the Checkpoint that rewrites the WAL, the
+// window between its rename and the stub publication, the reactivation
+// replay — are crossed continuously. The oracle is the
 // same acked / acked+1 contract as the main sweep.
 class EvictionCrashSweep : public ::testing::TestWithParam<Position> {
  protected:
@@ -341,11 +346,10 @@ TEST_P(EvictionCrashSweep, EveryCrossingKeepsEveryAckedCommit) {
   SweepPosition(GetParam(), /*evict=*/true);
 }
 
-// The passivation snapshot crosses persist.snapshot.* like the interval
-// snapshots (which this schedule also writes, so those positions are
-// swept too); only the passivation one is fsynced. The WAL rewrite after
-// release crosses persist.compact.*: it copies the genesis and the final
-// snapshot, which is always the last frame, so no txn frame is copied.
+// The schedule's interval snapshots cross persist.snapshot.* (unsynced:
+// the group-commit worker syncs the file), so those positions are swept
+// too. The passivation Checkpoint crosses persist.compact.*: it writes the
+// genesis and one snapshot of the live session to the tmp file.
 INSTANTIATE_TEST_SUITE_P(
     EvictionPoints, EvictionCrashSweep,
     ::testing::Values(
@@ -354,8 +358,6 @@ INSTANTIATE_TEST_SUITE_P(
                  {"persist.snapshot.header.post"}},
         Position{"server_evict_snapshot_mid", {"persist.snapshot.mid"}},
         Position{"server_evict_snapshot_post", {"persist.snapshot.post"}},
-        Position{"server_evict_snapshot_fsync_post",
-                 {"persist.snapshot.fsync.post"}},
         At("server.evict.release.pre"),
         Position{"server_evict_compact_pre", {"persist.compact.pre"}},
         Position{"server_evict_compact_frame_header_post",
@@ -437,8 +439,7 @@ TEST_F(ServerCrash, AFrameWrittenButNeverSyncedRecoversAsAckedPlusOne) {
 // server schedule that touches every stage of a session's durable life —
 // open, commits across a snapshot, passivation with the WAL rewrite,
 // reactivation, restart + recover — plus the standalone journal paths the
-// server never takes (per-frame fsync, compaction with a tail, recovery of
-// a torn tail). Every point crossed must be registered, and every registered
+// server never takes (per-frame fsync, recovery of a torn tail). Every point crossed must be registered, and every registered
 // server.* / persist.* point must be crossed: a point no schedule reaches
 // is dead and goes from the registry.
 TEST_F(ServerCrash, EveryRegisteredServerAndPersistPointIsCrossed) {
@@ -451,8 +452,8 @@ TEST_F(ServerCrash, EveryRegisteredServerAndPersistPointIsCrossed) {
     for (const char* step : {"apply", "apply", "undolast"}) {
       ASSERT_EQ(server.Execute(RequestFor(0, step)).status, StatusCode::kOk);
     }
-    // Opening s1 passivates s0 (snapshot, release, WAL rewrite); the next
-    // s0 request reactivates it and passivates s1.
+    // Opening s1 passivates s0 (Checkpoint, release); the next s0 request
+    // reactivates it and passivates s1.
     ASSERT_EQ(server.Execute(RequestFor(1, "open")).status, StatusCode::kOk);
     ASSERT_EQ(server.Execute(RequestFor(0, "apply")).status, StatusCode::kOk);
     ASSERT_EQ(server.Execute(RequestFor(0, "undolast")).status,
@@ -469,8 +470,8 @@ TEST_F(ServerCrash, EveryRegisteredServerAndPersistPointIsCrossed) {
     EXPECT_EQ(server.Execute(RequestFor(0, "apply")).status, StatusCode::kOk);
   }
 
-  // A standalone journal: every frame fsynced, a compaction that copies a
-  // txn behind its snapshot, and recovery of a torn tail.
+  // A standalone journal: every frame fsynced, an explicit Checkpoint, and
+  // recovery of a torn tail.
   const std::string path = dir + "/standalone.wal";
   {
     Session s(Parse(kSource));
@@ -480,7 +481,7 @@ TEST_F(ServerCrash, EveryRegisteredServerAndPersistPointIsCrossed) {
     for (const char* step : {"apply", "apply", "undolast"}) {
       ReplayStep(s, step);
     }
-    wal->Compact();
+    wal->Checkpoint();
   }
   std::filesystem::resize_file(path, std::filesystem::file_size(path) - 3);
   EXPECT_TRUE(Session::Recover(path).report.truncated);

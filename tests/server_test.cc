@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -15,7 +16,9 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <latch>
+#include <sstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -25,6 +28,7 @@
 #include "pivot/ir/parser.h"
 #include "pivot/persist/durable.h"
 #include "pivot/persist/filelock.h"
+#include "pivot/persist/snapshot.h"
 #include "pivot/persist/wal.h"
 #include "pivot/persist/wire.h"
 #include "pivot/server/group_commit.h"
@@ -1045,6 +1049,91 @@ TEST_F(ServerTest, PassivationCompactsTheWalAndRecoveryStillReconciles) {
             reference.Source());
   EXPECT_EQ(server.Execute(Req(ServerOp::kHistory, "s1")).text,
             reference.HistoryToString());
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+ino_t FileInode(const std::string& path) {
+  struct stat st {};
+  EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+  return st.st_ino;
+}
+
+// A passivated WAL holds exactly the genesis frame and one snapshot of the
+// live session covering no txn frame — byte for byte what the journal's own
+// framing writes for them.
+TEST_F(ServerTest, APassivatedWalIsGenesisPlusOneSnapshotOfTheSession) {
+  const std::string dir = FreshDir("evict_exact_bytes");
+  PivotServer server(EvictOpts(dir, 1));
+  Session reference{Parse(kSource)};
+  const std::string genesis =
+      EncodeGenesis(reference.options(), reference.Source());
+
+  Request open = Req(ServerOp::kOpen, "s1");
+  open.source = kSource;
+  ASSERT_EQ(server.Execute(open).status, StatusCode::kOk);
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_EQ(server.Execute(ApplyReq("s1", TransformKind::kCfo)).status,
+              StatusCode::kOk);
+    ASSERT_TRUE(reference.ApplyFirst(TransformKind::kCfo).has_value());
+  }
+  ASSERT_EQ(server.Execute(Req(ServerOp::kUndoLast, "s1")).status,
+            StatusCode::kOk);
+  reference.UndoLast();
+  Request open2 = Req(ServerOp::kOpen, "s2");
+  open2.source = kSource;
+  ASSERT_EQ(server.Execute(open2).status, StatusCode::kOk);
+  ASSERT_EQ(server.stats().passivations, 1u);
+
+  const std::string expected = dir + "/expected.wal";
+  {
+    WalWriter w = WalWriter::Create(expected);
+    w.AppendFrame(FrameType::kGenesis, genesis, /*fsync=*/false,
+                  "persist.genesis");
+    w.AppendFrame(FrameType::kSnapshot,
+                  EncodeSnapshotBody(0, EncodeSessionImage(reference)),
+                  /*fsync=*/false, "persist.snapshot");
+  }
+  EXPECT_EQ(FileBytes(server.SessionWalPath("s1")), FileBytes(expected));
+}
+
+// A session reactivated only to serve reads holds nothing its WAL does
+// not: passivating it again crosses no persist.* fault point and leaves
+// the file as it was — the same bytes under the same inode.
+TEST_F(ServerTest, APassivationWithNothingNewWritesNothing) {
+  const std::string dir = FreshDir("evict_read_only");
+  PivotServer server(EvictOpts(dir, 1));
+  for (const char* name : {"s1", "s2"}) {
+    Request open = Req(ServerOp::kOpen, name);
+    open.source = kSource;
+    ASSERT_EQ(server.Execute(open).status, StatusCode::kOk);
+    ASSERT_EQ(server.Execute(ApplyReq(name, TransformKind::kCfo)).status,
+              StatusCode::kOk);
+  }
+  // s2's open passivated s1; reading s1 reactivates it and passivates s2.
+  ASSERT_EQ(server.Execute(Req(ServerOp::kSource, "s1")).status,
+            StatusCode::kOk);
+  const std::string wal = server.SessionWalPath("s1");
+  const std::string bytes = FileBytes(wal);
+  const ino_t inode = FileInode(wal);
+
+  // Reading s2 reactivates it and passivates s1, which was only read.
+  FaultInjector& injector = FaultInjector::Instance();
+  injector.StartObserving();
+  ASSERT_EQ(server.Execute(Req(ServerOp::kSource, "s2")).status,
+            StatusCode::kOk);
+  injector.StopObserving();
+  EXPECT_EQ(server.stats().passivations, 3u);
+  for (const std::string& point : injector.observed_points()) {
+    EXPECT_NE(point.rfind("persist.", 0), 0u) << "crossed " << point;
+  }
+  EXPECT_EQ(FileBytes(wal), bytes);
+  EXPECT_EQ(FileInode(wal), inode);
 }
 
 TEST_F(ServerTest, ReactivationRefusesAFlockedJournalButTheStubSurvives) {

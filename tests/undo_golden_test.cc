@@ -10,7 +10,8 @@
 // under FaultInjector observation), and CanUndo/Preview answers for every
 // live stamp; each schedule ends with the hash of the final source. The
 // file under tests/corpus/ is the reference: any refactor of the engine
-// must reproduce it byte for byte.
+// must reproduce it byte for byte. A second test runs the same driver and
+// checks that the indexed and linear sessions decide every undo alike.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +19,7 @@
 #include <cstdio>
 #include <exception>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -119,11 +121,20 @@ struct Lockstep {
 };
 
 // One golden line block plus the rendered trace it was hashed from, so a
-// mismatch can show the decisions behind it.
+// mismatch can show the decisions behind it. `divergence` is empty unless
+// the indexed and linear sessions decided the block's undo differently.
 struct Block {
   std::string text;
   std::string trace;
+  std::string divergence = {};
 };
+
+// What an undo decided, apart from the work it took: success or the
+// refusal, and the program and history it left behind.
+std::string Fate(const std::string& outcome, Session& s) {
+  return (outcome.rfind("ok", 0) == 0 ? "ok" : outcome) + "\n" + s.Source() +
+         s.HistoryToString();
+}
 
 std::vector<Block> RunSchedule(std::uint64_t seed) {
   const FuzzCase c = GenerateFuzzCase(seed);
@@ -143,6 +154,9 @@ std::vector<Block> RunSchedule(std::uint64_t seed) {
     block.trace = l.trace.Render();
     const std::string indexed = Outcome([&] { return undo(l.indexed); });
     const std::string linear = Outcome([&] { return undo(l.linear); });
+    if (Fate(indexed, l.indexed) != Fate(linear, l.linear)) {
+      block.divergence = label + ": indexed " + indexed + " / linear " + linear;
+    }
     block.text = label + " trace=" + Hash(block.trace) + " " +
                  (traced.rfind("ok", 0) == 0 ? "ok" : traced) + "\n" +
                  "  indexed " + indexed + "\n" + "  linear " + linear + "\n" +
@@ -215,6 +229,13 @@ std::vector<Block> RunSchedule(std::uint64_t seed) {
   return blocks;
 }
 
+// Seeds 1-12, plus three whose cascades change which records the affected
+// region contains after the index was queried: only the re-query past the
+// last adjudicated stamp keeps the indexed scan equal to the history's
+// there.
+const std::uint64_t kGoldenSeeds[] = {1, 2, 3, 4,  5,  6,   7,   8,
+                                      9, 10, 11, 12, 560, 711, 724};
+
 std::vector<std::string> Lines(const std::string& text) {
   std::vector<std::string> lines;
   std::istringstream in(text);
@@ -234,13 +255,9 @@ TEST(UndoGolden, EngineReproducesTheRecordedSchedules) {
   std::vector<std::string> actual;
   std::vector<const Block*> origin;  // the block each actual line came from
   std::vector<std::vector<Block>> runs;
-  // Seeds 1-12, plus three whose cascades change which records the
-  // affected region contains after the index was queried: only the
-  // re-query past the last adjudicated stamp keeps the indexed scan
-  // equal to the history's there.
-  const std::uint64_t kSeeds[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12,
-                                  560, 711, 724};
-  for (const std::uint64_t seed : kSeeds) runs.push_back(RunSchedule(seed));
+  for (const std::uint64_t seed : kGoldenSeeds) {
+    runs.push_back(RunSchedule(seed));
+  }
   FaultInjector::Instance().Reset();
   for (const std::vector<Block>& run : runs) {
     for (const Block& block : run) {
@@ -260,6 +277,25 @@ TEST(UndoGolden, EngineReproducesTheRecordedSchedules) {
                   << "\n--- trace of that undo (linear, traced session) ---\n"
                   << (i < origin.size() ? origin[i]->trace : std::string());
     break;
+  }
+}
+
+// The LIFO fast path may skip the scans only where they provably find
+// nothing, so it must never change what an undo decides. Seed 1193 is the
+// case that broke it: at step 57, Undo(t19)'s affected scan cascades into
+// t22. t19 was inverted while t22 was live, so inverting t22 restores no
+// earlier state; but nothing later than t22 was live, so the fast path
+// skipped t22's restored scan, and the indexed session succeeded where
+// the linear one, whose restored scan cascades into t5, refuses.
+TEST(UndoGolden, IndexedAndLinearDecideEveryUndoAlike) {
+  FaultInjector::Instance().Reset();
+  std::vector<std::uint64_t> seeds(std::begin(kGoldenSeeds),
+                                   std::end(kGoldenSeeds));
+  seeds.push_back(1193);
+  for (const std::uint64_t seed : seeds) {
+    for (const Block& block : RunSchedule(seed)) {
+      EXPECT_EQ(block.divergence, "") << "seed " << seed;
+    }
   }
 }
 
